@@ -17,23 +17,18 @@ from typing import Callable
 from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle
 from .construct import chain_coloring, realize, uniform_coloring
 from .document import parse_document, render_document, render_dot
-from .errors import (
-    DocumentError,
-    InfeasibleSequenceError,
-    MalformedSequenceError,
-    NotGallaiError,
-    SizeGuardError,
-)
+from .errors import InfeasibleSequenceError, MalformedSequenceError, NotGallaiError, SizeGuardError
 from .feasibility import FeasibilityReport, check_sequence
 from .oracle import ENUMERATION_SIZE_LIMIT, brute_force_gallai_partition, crosscheck
 
 CROSSCHECK_DEFAULT_LIMIT = 5
+ECHO_CHARS = 40  # longest argument prefix an error message repeats
 
 
 def _printer(quiet: bool) -> Callable[[str], None]:
     if quiet:
         return lambda line: None
-    return lambda line: print(line)
+    return print
 
 
 def _fail(message: str) -> None:
@@ -49,7 +44,10 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in tokens)
     except ValueError:
-        raise MalformedSequenceError(f"not a comma-separated integer list: {text!r}") from None
+        shown = repr(text[:ECHO_CHARS])
+        if len(text) > ECHO_CHARS:
+            shown += f"... ({len(text)} characters)"
+        raise MalformedSequenceError(f"not a comma-separated integer list: {shown}") from None
 
 
 def _slack_lines(report: FeasibilityReport) -> list[str]:
@@ -246,13 +244,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (MalformedSequenceError, DocumentError, SizeGuardError) as exc:
-        _fail(str(exc))
-        return 2
-    except OSError as exc:
-        _fail(str(exc))
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # malformed input, size guards, unreadable files
         _fail(str(exc))
         return 2
 

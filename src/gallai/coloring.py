@@ -112,13 +112,59 @@ def color_degrees(coloring: EdgeColoring) -> list[int]:
 
 
 def find_rainbow_triangle(coloring: EdgeColoring) -> RainbowWitness | None:
-    """Lexicographically smallest rainbow triangle, or None if none exists."""
-    for i, j, k in itertools.combinations(range(coloring.n), 3):
-        a = coloring.color(i, j)
-        b = coloring.color(i, k)
-        c = coloring.color(j, k)
-        if a != b and a != c and b != c:
-            return RainbowWitness((i, j, k), (a, b, c))
+    """Lexicographically smallest rainbow triangle, or None if none exists.
+
+    One pass over the colors builds each vertex's row and, per vertex u and
+    color c, the bitmask M_c(u) of u's neighbors in color c.  For each pair
+    i < j in lexicographic order, with a = c(i, j), the third vertices k > j
+    that close a rainbow triangle are those outside M_a(i) | M_a(j) and
+    outside M_c(i) & M_c(j) for every color c the two share; the lowest such
+    k is the witness.  Cost: O(n^2) setup, then per pair at most
+    min(deg i, deg j) mask operations on n-bit integers.  The witness is the
+    same as a scan of all triples in lexicographic order would return.
+    """
+    n = coloring.n
+    colors = coloring.colors
+    bits = [1 << v for v in range(n)]
+    rows = [[-1] * n for _ in range(n)]
+    start = 0
+    for u in range(n - 1):
+        row = rows[u]
+        row[u + 1:] = colors[start:start + n - u - 1]
+        start += n - u - 1
+        for v in range(u + 1, n):
+            rows[v][u] = row[v]
+    masks: list[dict[int, int]] = []
+    for row in rows:
+        own: dict[int, int] = {}
+        get = own.get
+        for bit, c in zip(bits, row):
+            own[c] = get(c, 0) | bit
+        del own[-1]
+        masks.append(own)
+    full = (1 << n) - 1
+    above = [full ^ ((bit << 1) - 1) for bit in bits]
+    for i in range(n - 2):
+        row_i, masks_i = rows[i], masks[i]
+        for j in range(i + 1, n - 1):
+            masks_j = masks[j]
+            a = row_i[j]
+            # masks_i[a] holds j and masks_j[a] holds i; above[j] keeps k > j
+            candidates = above[j] & ~(masks_i[a] | masks_j[a])
+            if not candidates:
+                continue
+            if len(masks_i) <= len(masks_j):
+                small, large = masks_i, masks_j
+            else:
+                small, large = masks_j, masks_i
+            for c, mask in small.items():
+                if c in large:
+                    candidates &= ~(mask & large[c])
+                    if not candidates:
+                        break
+            if candidates:
+                k = (candidates & -candidates).bit_length() - 1
+                return RainbowWitness((i, j, k), (a, row_i[k], rows[j][k]))
     return None
 
 

@@ -17,6 +17,8 @@ emitted, so rendering is byte-stable.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .coloring import EdgeColoring
 from .errors import DocumentError
 
@@ -55,10 +57,18 @@ def render_document(coloring: EdgeColoring) -> str:
 
 
 def parse_document(text: str) -> EdgeColoring:
-    """Parse a coloring document, validating the full file schema."""
+    """Parse a coloring document, validating the full file schema.
+
+    Each edge record is written straight to its upper-triangle slot, so a
+    repeated pair is one whose slot is already filled.  A document with
+    fewer lines than pairs cannot be complete; its slots are kept sparse so
+    that memory follows the length of the text, not the declared n.
+    """
+    lines = text.splitlines()
     n: int | None = None
-    pair_colors: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    expected = seen = 0
+    slots: list[int] | defaultdict[int, int] = []
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -69,6 +79,8 @@ def parse_document(text: str) -> EdgeColoring:
             n = _parse_int(fields[1], lineno)
             if n < 1:
                 raise DocumentError(f"line {lineno}: vertex count must be >= 1")
+            expected = n * (n - 1) // 2
+            slots = [-1] * expected if expected < len(lines) else defaultdict(lambda: -1)
             continue
         if len(fields) != 4 or fields[0] != "edge":
             raise DocumentError(
@@ -81,15 +93,16 @@ def parse_document(text: str) -> EdgeColoring:
             raise DocumentError(f"line {lineno}: need 0 <= u < v < n, got {u}, {v}")
         if c < 0:
             raise DocumentError(f"line {lineno}: color must be nonnegative, got {c}")
-        if (u, v) in pair_colors:
+        index = u * n - u * (u + 1) // 2 + (v - u - 1)
+        if slots[index] >= 0:
             raise DocumentError(f"line {lineno}: pair ({u}, {v}) repeated")
-        pair_colors[(u, v)] = c
+        slots[index] = c
+        seen += 1
     if n is None:
         raise DocumentError("document is empty")
-    try:
-        return EdgeColoring.from_pairs(n, pair_colors)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    if seen != expected:
+        raise DocumentError(f"expected {expected} pairs for n={n}, got {seen}")
+    return EdgeColoring(n, tuple(slots))
 
 
 def _parse_int(token: str, lineno: int) -> int:

@@ -4,7 +4,22 @@ The CLI maps these onto exit codes: malformed input and size-guard
 violations are usage errors (exit 2), infeasibility and rainbow triangles
 are semantic negatives (exit 1), and internal-consistency failures mean a
 proven statement was observed to fail, i.e. a bug.
+
+Messages never echo unbounded input: sequences are shown through
+``preview``, which keeps a fixed prefix and states the entry count.
 """
+
+PREVIEW_ENTRIES = 8
+PREVIEW_CHARS = 80
+
+
+def preview(values) -> str:
+    """``values`` as a list literal, or for a long list its first entries
+    (at most PREVIEW_CHARS characters of them) and the entry count."""
+    head = "[" + ", ".join(str(v) for v in values[:PREVIEW_ENTRIES])
+    if len(values) <= PREVIEW_ENTRIES and len(head) <= PREVIEW_CHARS:
+        return head + "]"
+    return f"{head[:PREVIEW_CHARS]} ...] ({len(values)} entries)"
 
 
 class GallaiError(Exception):
@@ -22,7 +37,7 @@ class InfeasibleSequenceError(GallaiError, ValueError):
     def __init__(self, report):
         self.report = report
         super().__init__(
-            f"sequence {list(report.values)} is infeasible "
+            f"sequence {preview(report.values)} is infeasible "
             f"(first violation at k={report.first_violation})"
         )
 

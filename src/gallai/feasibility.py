@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import MalformedSequenceError
+from .errors import MalformedSequenceError, preview
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def validate_sequence(values: Sequence[int]) -> tuple[int, ...]:
         if d < 0:
             raise MalformedSequenceError(f"entries must be nonnegative, got {d}")
     if any(a > b for a, b in zip(seq, seq[1:])):
-        raise MalformedSequenceError(f"sequence must be nondecreasing: {list(seq)}")
+        raise MalformedSequenceError(f"sequence must be nondecreasing: {preview(seq)}")
     if len(seq) >= 2 and seq[0] == 0:
         raise MalformedSequenceError(
             "degree 0 is impossible with more than one vertex"

@@ -81,6 +81,37 @@ class TestConstruct:
         assert code == 2
 
 
+class TestBoundedMessages:
+    """Error lines keep a fixed prefix of long input and state its size."""
+
+    def test_long_infeasible_construct(self, capsys):
+        sequence = ",".join(["1"] * (10**5 - 1) + ["3"])
+        code, out, err = run(capsys, "construct", "--quiet", sequence)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert len(err) < 200
+        assert "(100000 entries)" in err
+
+    def test_long_unsorted_sequence(self, capsys):
+        code, _, err = run(capsys, "check", ",".join(["2"] + ["1"] * 10**4))
+        assert code == 2
+        assert len(err) < 200
+        assert "(10001 entries)" in err
+
+    def test_long_garbage_argument(self, capsys):
+        code, _, err = run(capsys, "check", "x" * 10**4)
+        assert code == 2
+        assert len(err) < 200
+        assert "(10000 characters)" in err
+
+    def test_short_input_is_echoed_whole(self, capsys):
+        _, _, err = run(capsys, "construct", "1,1,3,3")
+        assert err == "error: sequence [1, 1, 3, 3] is infeasible (first violation at k=3)\n"
+        _, _, err = run(capsys, "check", "1,two,3")
+        assert err == "error: not a comma-separated integer list: '1,two,3'\n"
+
+
 class TestVerify:
     def write(self, tmp_path, coloring):
         path = tmp_path / "in.doc"

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from gallai import (
     EdgeColoring,
     RainbowWitness,
+    chain_coloring,
     color_degrees,
     find_rainbow_triangle,
     is_gallai,
     normalize_colors,
+    uniform_coloring,
 )
 
 
@@ -22,6 +24,34 @@ def colorings(draw, max_n=6):
     m = n * (n - 1) // 2
     values = draw(st.lists(st.integers(0, m), min_size=m, max_size=m))
     return EdgeColoring(n, tuple(values))
+
+
+@st.composite
+def few_color_colorings(draw, max_n=9):
+    """Colorings with at most four colors, so that both Gallai and rainbow
+    outcomes are common."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    k = draw(st.integers(min_value=1, max_value=4))
+    m = n * (n - 1) // 2
+    return EdgeColoring(n, tuple(draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))))
+
+
+def naive_rainbow_triangle(coloring):
+    """Oracle: scan every triple i < j < k in lexicographic order."""
+    for i, j, k in itertools.combinations(range(coloring.n), 3):
+        a = coloring.color(i, j)
+        b = coloring.color(i, k)
+        c = coloring.color(j, k)
+        if a != b and a != c and b != c:
+            return RainbowWitness((i, j, k), (a, b, c))
+    return None
+
+
+def recolored(coloring, index):
+    """Copy of the coloring with the edge at ``index`` given a fresh color."""
+    colors = list(coloring.colors)
+    colors[index] = max(colors) + 1
+    return EdgeColoring(coloring.n, tuple(colors))
 
 
 class TestEdgeColoring:
@@ -122,11 +152,7 @@ class TestRainbow:
 
     @given(colorings())
     def test_is_gallai_agrees_with_direct_scan(self, coloring):
-        rainbow = any(
-            len({coloring.color(i, j), coloring.color(i, k), coloring.color(j, k)}) == 3
-            for i, j, k in itertools.combinations(range(coloring.n), 3)
-        )
-        assert is_gallai(coloring) == (not rainbow)
+        assert is_gallai(coloring) == (naive_rainbow_triangle(coloring) is None)
         witness = find_rainbow_triangle(coloring)
         if witness is not None:
             i, j, k = witness.vertices
@@ -137,6 +163,35 @@ class TestRainbow:
                 coloring.color(i, k),
                 coloring.color(j, k),
             )
+
+
+class TestScanMatchesOracle:
+    """find_rainbow_triangle returns exactly the naive scan's witness."""
+
+    @given(few_color_colorings())
+    def test_random_few_colors(self, coloring):
+        assert find_rainbow_triangle(coloring) == naive_rainbow_triangle(coloring)
+
+    def test_every_gallai_five_with_one_edge_recolored(self, enumerated):
+        for coloring in enumerated[5]:
+            assert find_rainbow_triangle(coloring) is None
+            for index in range(len(coloring.colors)):
+                copy = recolored(coloring, index)
+                assert find_rainbow_triangle(copy) == naive_rainbow_triangle(copy)
+
+    @pytest.mark.parametrize(
+        "family, size",
+        [(uniform_coloring, d) for d in range(7)]
+        + [(chain_coloring, n) for n in (1, 2, 3, 4, 7, 12, 20, 33, 47, 60)],
+    )
+    def test_families_intact_and_recolored(self, family, size):
+        coloring = family(size)
+        assert find_rainbow_triangle(coloring) is None
+        assert naive_rainbow_triangle(coloring) is None
+        m = len(coloring.colors)
+        for index in sorted({0, m // 3, m // 2, m - 1} if m else ()):
+            copy = recolored(coloring, index)
+            assert find_rainbow_triangle(copy) == naive_rainbow_triangle(copy)
 
 
 class TestColorDegrees:

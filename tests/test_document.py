@@ -96,6 +96,22 @@ class TestParse:
         with pytest.raises(DocumentError, match="line 3"):
             parse_document("n 2\n# fine\nedge 0 1 nope\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 3\nedge 0 2 0\nedge 0 2 1\n", r"^line 3: pair \(0, 2\) repeated$"),
+            ("n 3\nedge 0 1 0\nedge 1 2 0\n", r"^expected 3 pairs for n=3, got 2$"),
+            ("n 30000\nedge 0 1 0\nedge 0 1 0\n", r"^line 3: pair \(0, 1\) repeated$"),
+            ("n 30000\nedge 0 1 0\n", r"^expected 449985000 pairs for n=30000, got 1$"),
+        ],
+        ids=["repeated", "short", "huge-n-repeated", "huge-n-short"],
+    )
+    def test_coverage_messages(self, text, message):
+        # a declared n far beyond the text's length must fail without
+        # allocating n(n-1)/2 slots
+        with pytest.raises(DocumentError, match=message):
+            parse_document(text)
+
 
 class TestDot:
     def test_pen_color_cycle(self):
