@@ -17,12 +17,11 @@ from typing import Callable
 from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle
 from .construct import chain_coloring, realize, uniform_coloring
 from .document import parse_document, render_document, render_dot
-from .errors import InfeasibleSequenceError, MalformedSequenceError, NotGallaiError, SizeGuardError
+from .errors import InfeasibleSequenceError, MalformedSequenceError, NotGallaiError, SizeGuardError, clip
 from .feasibility import FeasibilityReport, check_sequence
 from .oracle import ENUMERATION_SIZE_LIMIT, brute_force_gallai_partition, crosscheck
 
 CROSSCHECK_DEFAULT_LIMIT = 5
-ECHO_CHARS = 40  # longest argument prefix an error message repeats
 
 
 def _printer(quiet: bool) -> Callable[[str], None]:
@@ -44,10 +43,7 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in tokens)
     except ValueError:
-        shown = repr(text[:ECHO_CHARS])
-        if len(text) > ECHO_CHARS:
-            shown += f"... ({len(text)} characters)"
-        raise MalformedSequenceError(f"not a comma-separated integer list: {shown}") from None
+        raise MalformedSequenceError(f"not a comma-separated integer list: {clip(text)}") from None
 
 
 def _slack_lines(report: FeasibilityReport) -> list[str]:

@@ -55,6 +55,20 @@ class EdgeColoring:
         for u, v in itertools.combinations(range(self.n), 2):
             yield u, v, next(it)
 
+    def rows(self) -> list[list[int]]:
+        """The symmetric n x n color matrix as fresh row lists, with -1 on
+        the diagonal: ``rows()[u][v] == color(u, v)`` for u != v."""
+        n = self.n
+        rows = [[-1] * n for _ in range(n)]
+        start = 0
+        for u in range(n - 1):
+            row = rows[u]
+            row[u + 1:] = self.colors[start:start + n - u - 1]
+            start += n - u - 1
+            for v in range(u + 1, n):
+                rows[v][u] = row[v]
+        return rows
+
     def color_set(self) -> set[int]:
         """The set of color ids that actually appear."""
         return set(self.colors)
@@ -124,16 +138,8 @@ def find_rainbow_triangle(coloring: EdgeColoring) -> RainbowWitness | None:
     same as a scan of all triples in lexicographic order would return.
     """
     n = coloring.n
-    colors = coloring.colors
     bits = [1 << v for v in range(n)]
-    rows = [[-1] * n for _ in range(n)]
-    start = 0
-    for u in range(n - 1):
-        row = rows[u]
-        row[u + 1:] = colors[start:start + n - u - 1]
-        start += n - u - 1
-        for v in range(u + 1, n):
-            rows[v][u] = row[v]
+    rows = coloring.rows()
     masks: list[dict[int, int]] = []
     for row in rows:
         own: dict[int, int] = {}

@@ -7,24 +7,31 @@ an existing one.  Choosing the color of the new edge {v, v1} among v's
 incident colors keeps both degrees at deg(v); choosing a fresh color raises
 both to deg(v) + 1.
 
-``realize`` runs this in reverse: it peels the multiplicity m of the
-maximum degree t down by one vertex per step (drop one copy of t when m is
-odd; replace two copies of t by one t-1 when m is even), recurses, and
-re-applies the matching duplication.  Feasibility of the input guarantees
-every intermediate sequence stays feasible, so the recursion bottoms out at
-a single vertex or an all-ones sequence.
+``realize`` runs this in two loops.  The schedule loop peels the sorted
+sequence: with maximum t of multiplicity m it drops one copy of t when m is
+odd, or replaces two copies of t by one t-1 when m is even, and records the
+duplication that undoes the step.  Feasibility of the input guarantees
+every intermediate sequence stays feasible, so the peeling ends at a single
+vertex or an all-ones sequence.  The replay loop starts from that base
+coloring, held as symmetric rows, and applies the recorded duplications
+newest first; each appends one row and one entry per row and updates only
+the two degrees that change.  That is O(n) per step and O(n^2) in total,
+the size of the output, with no recursion.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from typing import Sequence
 
-from .coloring import EdgeColoring, color_degrees, normalize_colors
-from .errors import InfeasibleSequenceError, InternalConsistencyError, SizeGuardError
+# color_degrees stays importable here: the benchmark's tracer wraps it.
+from .coloring import EdgeColoring, color_degrees, normalize_colors  # noqa: F401
+from .errors import InfeasibleSequenceError, InternalConsistencyError, SizeGuardError, preview
 from .feasibility import check_sequence
 
-UNIFORM_SIZE_LIMIT = 20
+# Memory grows as 4^d: d = 12 is 8.4 million edge colors, d = 13 four times that.
+UNIFORM_SIZE_LIMIT = 12
 
 
 class DuplicationChoice(enum.Enum):
@@ -41,6 +48,29 @@ def monochromatic_coloring(n: int, color: int = 0) -> EdgeColoring:
     return EdgeColoring(n, (color,) * (n * (n - 1) // 2))
 
 
+def _smallest_incident(rows: list[list[int]], v: int) -> int:
+    row = rows[v]
+    return min(row[:v] + row[v + 1:])
+
+
+def _append_clone(rows: list[list[int]], v: int, bridge: int) -> None:
+    """Append a clone of vertex v to symmetric rows (diagonal -1): the clone
+    copies v's colors, and the edge {v, clone} gets ``bridge``."""
+    clone = rows[v].copy()
+    clone[v] = bridge
+    for row, c in zip(rows, clone):
+        row.append(c)
+    clone.append(-1)
+    rows.append(clone)
+
+
+def _flatten(rows: list[list[int]]) -> EdgeColoring:
+    colors: list[int] = []
+    for u, row in enumerate(rows):
+        colors.extend(row[u + 1:])
+    return EdgeColoring(len(rows), tuple(colors))
+
+
 def duplicate_vertex(
     coloring: EdgeColoring, v: int, choice: DuplicationChoice
 ) -> EdgeColoring:
@@ -54,19 +84,15 @@ def duplicate_vertex(
     n = coloring.n
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range for n={n}")
-    incident = [coloring.color(v, u) for u in range(n) if u != v]
+    rows = coloring.rows()
     if choice is DuplicationChoice.EXISTING_COLOR:
-        if not incident:
+        if n == 1:
             raise ValueError("EXISTING_COLOR requires the vertex to have an edge")
-        bridge = min(incident)
+        bridge = _smallest_incident(rows, v)
     else:
-        bridge = max(coloring.colors) + 1 if coloring.colors else 0
-    pair_colors: dict[tuple[int, int], int] = {
-        (u, w): c for u, w, c in coloring.pairs()
-    }
-    for u in range(n):
-        pair_colors[(u, n)] = bridge if u == v else coloring.color(v, u)
-    return EdgeColoring.from_pairs(n + 1, pair_colors)
+        bridge = max(coloring.colors, default=-1) + 1
+    _append_clone(rows, v, bridge)
+    return _flatten(rows)
 
 
 def realize(values: Sequence[int]) -> EdgeColoring:
@@ -76,43 +102,48 @@ def realize(values: Sequence[int]) -> EdgeColoring:
     Raises InfeasibleSequenceError (carrying the slack report) otherwise.
     The construction is deterministic; no promise is made about which of
     the many realizations it returns beyond degree-sequence correctness.
+    Time and memory are O(n^2).
     """
     report = check_sequence(values)
     if not report.feasible:
         raise InfeasibleSequenceError(report)
-    return normalize_colors(_realize(list(report.values)))
+    seq = list(report.values)
+    # Schedule: (degree of the vertex to clone, bridge choice), oldest first.
+    steps: list[tuple[int, DuplicationChoice]] = []
+    while len(seq) > 1 and seq[-1] > 1:
+        n, t = len(seq), seq[-1]
+        m = n - bisect_left(seq, t)
+        if m < 2:
+            raise InternalConsistencyError(
+                f"feasible sequence {preview(seq)} has a unique maximum"
+            )
+        if m % 2 == 1:
+            steps.append((t, DuplicationChoice.EXISTING_COLOR))
+        else:
+            seq[n - m] = t - 1
+            steps.append((t - 1, DuplicationChoice.FRESH_COLOR))
+        seq.pop()
 
-
-def _realize(seq: list[int]) -> EdgeColoring:
-    n = len(seq)
-    if n == 1:
-        return EdgeColoring(1, ())
-    t = seq[-1]
-    if t == 1:
-        # The even reduction would manufacture a degree-0 entry here; the
-        # all-ones sequence is just the one-color coloring.
-        return monochromatic_coloring(n)
-    m = seq.count(t)
-    if m < 2:
-        raise InternalConsistencyError(
-            f"feasible sequence {seq} has a unique maximum"
-        )
-    if m % 2 == 1:
-        sub = _realize(seq[:-1])
-        target = t
-        choice = DuplicationChoice.EXISTING_COLOR
-    else:
-        sub = _realize(seq[: n - m] + [t - 1] + [t] * (m - 2))
-        target = t - 1
-        choice = DuplicationChoice.FRESH_COLOR
-    degrees = color_degrees(sub)
-    try:
-        v = degrees.index(target)
-    except ValueError:
-        raise InternalConsistencyError(
-            f"no vertex of degree {target} after realizing {seq}"
-        ) from None
-    return duplicate_vertex(sub, v, choice)
+    # Replay from the base: K_1, or K_n in color 0 for the all-ones sequence.
+    rows = monochromatic_coloring(len(seq)).rows()
+    degrees = seq  # the base coloring's degrees, by vertex
+    top = 0 if len(seq) > 1 else -1  # largest color id in use
+    for target, choice in reversed(steps):
+        try:
+            v = degrees.index(target)
+        except ValueError:
+            raise InternalConsistencyError(
+                f"no vertex of degree {target} among {len(rows)} vertices"
+            ) from None
+        if choice is DuplicationChoice.EXISTING_COLOR:
+            bridge = _smallest_incident(rows, v)
+        else:
+            top += 1
+            bridge = top
+            degrees[v] += 1
+        degrees.append(degrees[v])
+        _append_clone(rows, v, bridge)
+    return normalize_colors(_flatten(rows))
 
 
 def chain_coloring(n: int) -> EdgeColoring:
@@ -138,7 +169,7 @@ def uniform_coloring(d: int) -> EdgeColoring:
     agree on it, so no triangle is rainbow.  This meets the floor(log2 n)
     minimum-degree bound with equality, and its first suffix slack is 0.
 
-    Memory grows as 4^d; the hard guard is d <= 20.
+    Memory grows as 4^d, so the hard guard is d <= 12 (8.4 million edges).
     """
     if d < 0:
         raise ValueError(f"bit count must be >= 0, got {d}")

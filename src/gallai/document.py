@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .coloring import EdgeColoring
-from .errors import DocumentError
+from .errors import DocumentError, clip
 
 # Pen colors for DOT export, cycled in order of color id.  Ids beyond the
 # palette get a numeric suffix (color 12 -> "red1", 13 -> "blue1", ...),
@@ -75,7 +75,7 @@ def parse_document(text: str) -> EdgeColoring:
         fields = line.split()
         if n is None:
             if len(fields) != 2 or fields[0] != "n":
-                raise DocumentError(f"line {lineno}: expected 'n <count>', got {raw!r}")
+                raise DocumentError(f"line {lineno}: expected 'n <count>', got {clip(raw)}")
             n = _parse_int(fields[1], lineno)
             if n < 1:
                 raise DocumentError(f"line {lineno}: vertex count must be >= 1")
@@ -84,7 +84,7 @@ def parse_document(text: str) -> EdgeColoring:
             continue
         if len(fields) != 4 or fields[0] != "edge":
             raise DocumentError(
-                f"line {lineno}: expected 'edge <u> <v> <color>', got {raw!r}"
+                f"line {lineno}: expected 'edge <u> <v> <color>', got {clip(raw)}"
             )
         u = _parse_int(fields[1], lineno)
         v = _parse_int(fields[2], lineno)
@@ -109,7 +109,7 @@ def _parse_int(token: str, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise DocumentError(f"line {lineno}: expected an integer, got {token!r}") from None
+        raise DocumentError(f"line {lineno}: expected an integer, got {clip(token)}") from None
 
 
 def render_dot(coloring: EdgeColoring) -> str:

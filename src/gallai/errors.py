@@ -6,11 +6,13 @@ are semantic negatives (exit 1), and internal-consistency failures mean a
 proven statement was observed to fail, i.e. a bug.
 
 Messages never echo unbounded input: sequences are shown through
-``preview``, which keeps a fixed prefix and states the entry count.
+``preview``, which keeps a fixed prefix and states the entry count, and
+text through ``clip``, which keeps a fixed prefix and states its length.
 """
 
 PREVIEW_ENTRIES = 8
 PREVIEW_CHARS = 80
+ECHO_CHARS = 40  # longest text prefix an error message repeats
 
 
 def preview(values) -> str:
@@ -20,6 +22,15 @@ def preview(values) -> str:
     if len(values) <= PREVIEW_ENTRIES and len(head) <= PREVIEW_CHARS:
         return head + "]"
     return f"{head[:PREVIEW_CHARS]} ...] ({len(values)} entries)"
+
+
+def clip(text: str) -> str:
+    """``text`` as a string literal, or for long text the literal of its
+    first ECHO_CHARS characters and the character count."""
+    shown = repr(text[:ECHO_CHARS])
+    if len(text) > ECHO_CHARS:
+        shown += f"... ({len(text)} characters)"
+    return shown
 
 
 class GallaiError(Exception):

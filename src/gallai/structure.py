@@ -128,13 +128,14 @@ def compress_component(
             )
         outside_colors[w] = into.pop()
 
+    # Upper triangle of the reduced coloring, row by row: outside vertex i
+    # toward the later outside vertices, then toward the merged node m.
     m = len(outside)
-    pair_colors: dict[tuple[int, int], int] = {}
+    colors: list[int] = []
     for i, w in enumerate(outside):
-        for j in range(i + 1, m):
-            pair_colors[(i, j)] = coloring.color(w, outside[j])
-        pair_colors[(i, m)] = outside_colors[w]
-    reduced = EdgeColoring.from_pairs(m + 1, pair_colors)
+        colors.extend(coloring.color(w, x) for x in outside[i + 1:])
+        colors.append(outside_colors[w])
+    reduced = EdgeColoring(m + 1, tuple(colors))
     return CompressionResult(
         reduced=reduced,
         compressed_vertex=m,

@@ -63,6 +63,13 @@ class TestConstruct:
         assert "degrees: 1, 2, 3, 3" in out
         assert parse_document(target.read_text()).n == 4
 
+    def test_deep_sequence_writes_file(self, capsys, tmp_path):
+        target = tmp_path / "x.doc"
+        code, out, err = run(capsys, "construct", ",".join(["10"] * 1024), "-o", str(target))
+        assert (code, err) == (0, "")
+        assert out.endswith(f"wrote {target}\n")
+        assert target.read_text().startswith("n 1024\n")
+
     def test_writes_dot(self, capsys, tmp_path):
         doc = tmp_path / "c.doc"
         dot = tmp_path / "c.dot"
@@ -162,9 +169,10 @@ class TestGenerate:
         assert "# degrees: 3, 3, 3, 3, 3, 3, 3, 3" in out
 
     def test_uniform_guard(self, capsys):
-        code, _, err = run(capsys, "generate", "uniform", "21")
-        assert code == 2
-        assert "error:" in err
+        for bits in ("13", "21"):
+            code, _, err = run(capsys, "generate", "uniform", bits)
+            assert code == 2
+            assert "error:" in err
 
     def test_negative_size(self, capsys):
         code, _, _ = run(capsys, "generate", "chain", "-3")

@@ -1,15 +1,18 @@
 """Vertex duplication and the realization of feasible sequences."""
 
+import hashlib
+import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gallai import (
     DuplicationChoice,
     EdgeColoring,
     InfeasibleSequenceError,
+    InternalConsistencyError,
     SizeGuardError,
     chain_coloring,
     check_sequence,
@@ -19,9 +22,88 @@ from gallai import (
     monochromatic_coloring,
     normalize_colors,
     realize,
+    render_document,
     uniform_coloring,
 )
 from gallai.oracle import candidate_sequences
+
+
+def naive_duplicate(coloring, v, choice):
+    """Reference for ``duplicate_vertex``: rebuilds every pair through a
+    dict and ``EdgeColoring.from_pairs``."""
+    n = coloring.n
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range for n={n}")
+    incident = [coloring.color(v, u) for u in range(n) if u != v]
+    if choice is DuplicationChoice.EXISTING_COLOR:
+        if not incident:
+            raise ValueError("EXISTING_COLOR requires the vertex to have an edge")
+        bridge = min(incident)
+    else:
+        bridge = max(coloring.colors) + 1 if coloring.colors else 0
+    pair_colors = {(u, w): c for u, w, c in coloring.pairs()}
+    for u in range(n):
+        pair_colors[(u, n)] = bridge if u == v else coloring.color(v, u)
+    return EdgeColoring.from_pairs(n + 1, pair_colors)
+
+
+def naive_realize(values):
+    """Reference for ``realize``: one recursion level and one full rebuild
+    per vertex, degrees recomputed at every step (O(n^3), recursion depth n)."""
+    report = check_sequence(values)
+    if not report.feasible:
+        raise InfeasibleSequenceError(report)
+    return normalize_colors(_naive_realize(list(report.values)))
+
+
+def _naive_realize(seq):
+    n = len(seq)
+    if n == 1:
+        return EdgeColoring(1, ())
+    t = seq[-1]
+    if t == 1:
+        return monochromatic_coloring(n)
+    m = seq.count(t)
+    if m < 2:
+        raise InternalConsistencyError(f"feasible sequence {seq} has a unique maximum")
+    if m % 2 == 1:
+        sub = _naive_realize(seq[:-1])
+        target = t
+        choice = DuplicationChoice.EXISTING_COLOR
+    else:
+        sub = _naive_realize(seq[: n - m] + [t - 1] + [t] * (m - 2))
+        target = t - 1
+        choice = DuplicationChoice.FRESH_COLOR
+    v = color_degrees(sub).index(target)
+    return naive_duplicate(sub, v, choice)
+
+
+def duplication_sequence(n, rng):
+    """Sorted degrees after n - 1 random duplications from K_1, tracked on
+    the degrees alone, so the sequence is feasible by construction."""
+    degrees = [0]
+    while len(degrees) < n:
+        v = rng.randrange(len(degrees))
+        if degrees[v] and rng.random() < 0.5:
+            degrees.append(degrees[v])
+        else:
+            degrees[v] += 1
+            degrees.append(degrees[v])
+    return sorted(degrees)
+
+
+def feasible_up_to(max_n):
+    for n in range(1, max_n + 1):
+        for seq in candidate_sequences(n):
+            if check_sequence(seq).feasible:
+                yield seq
+
+
+def realization_digest(sequences):
+    h = hashlib.sha256()
+    for seq in sequences:
+        h.update(render_document(realize(seq)).encode())
+    return h.hexdigest()
 
 
 @st.composite
@@ -125,6 +207,15 @@ class TestDuplicateVertex:
         expected[d + 1] += 2
         assert Counter(color_degrees(grown)) == +expected
 
+    @given(duplication_chains(), st.data())
+    def test_matches_naive_duplication(self, chain, data):
+        coloring, _ = chain
+        v = data.draw(st.integers(0, coloring.n - 1))
+        for choice in DuplicationChoice:
+            if coloring.n == 1 and choice is DuplicationChoice.EXISTING_COLOR:
+                continue
+            assert duplicate_vertex(coloring, v, choice) == naive_duplicate(coloring, v, choice)
+
     @given(duplication_chains(max_steps=4), st.data())
     def test_any_bridge_color_preserves_gallai(self, chain, data):
         # duplication tolerates an arbitrary bridge color, not just the two
@@ -181,6 +272,41 @@ class TestRealize:
     def test_deterministic(self):
         assert realize([1, 2, 3, 3]) == realize([1, 2, 3, 3])
 
+    def test_deep_sequence_needs_no_recursion(self):
+        # one duplication per vertex; a recursive realize overflows the stack
+        c = realize([11] * 2048)
+        assert sorted(len(set(row)) - 1 for row in c.rows()) == [11] * 2048
+
+
+class TestRealizeMatchesOracle:
+    """``realize`` keeps the output of the recursive construction, pinned by
+    digests of the rendered documents and compared with ``naive_realize``."""
+
+    # sha256 over render_document(realize(seq)) for the 232 feasible
+    # sequences with n <= 8, in candidate order
+    SMALL_DIGEST = "89a34cf2df6a4e7e43c6c29c64e6a9d22fa6258a43ce6c158725600aef8702b6"
+    # the same over LARGE
+    LARGE_DIGEST = "b687dae47f17859e46403fdd959fc1c8b7f854135dbaac51c8574d5c52329755"
+    LARGE = [list(range(1, 200)) + [199], [7] * 128] + [
+        duplication_sequence(n, random.Random(seed)) for n in (64, 128) for seed in (1, 2, 3)
+    ]
+
+    def test_small_digest(self):
+        assert realization_digest(feasible_up_to(8)) == self.SMALL_DIGEST
+
+    def test_large_digest(self):
+        assert realization_digest(self.LARGE) == self.LARGE_DIGEST
+
+    def test_every_small_feasible_sequence(self):
+        for seq in feasible_up_to(8):
+            assert realize(seq) == naive_realize(seq), seq
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 40), st.randoms(use_true_random=False))
+    def test_duplication_sequences(self, n, rng):
+        seq = duplication_sequence(n, rng)
+        assert realize(seq) == naive_realize(seq)
+
 
 class TestChainColoring:
     def test_four_vertices(self):
@@ -232,5 +358,6 @@ class TestUniformColoring:
             uniform_coloring(-1)
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            uniform_coloring(21)
+        for d in (13, 21):
+            with pytest.raises(SizeGuardError):
+                uniform_coloring(d)

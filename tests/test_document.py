@@ -97,6 +97,24 @@ class TestParse:
             parse_document("n 2\n# fine\nedge 0 1 nope\n")
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "n 2\n" + "x" * 10**5 + "\n",
+            "n 2\nedge 0 1 " + "7" * 10**5 + "x\n",
+            "n 2\nedge 0 " + "y" * 10**5 + " 1 0\n",
+            "m " + "z" * 10**5 + "\n",
+        ],
+        ids=["edge-line", "color-token", "vertex-token", "header-line"],
+    )
+    def test_long_bad_line_message_is_bounded(self, text):
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(text)
+        message = str(excinfo.value)
+        assert len(message) < 200
+        assert message.startswith("line 2: " if text.startswith("n 2") else "line 1: ")
+        assert "characters)" in message
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("n 3\nedge 0 2 0\nedge 0 2 1\n", r"^line 3: pair \(0, 2\) repeated$"),
