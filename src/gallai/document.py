@@ -109,7 +109,13 @@ def _parse_int(token: str, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise DocumentError(f"line {lineno}: expected an integer, got {clip(token)}") from None
+        pass
+    # int() rejects a well-formed decimal only past the interpreter's
+    # digit limit for string conversion
+    digits = token[1:] if token[0] in "+-" else token
+    if digits.isascii() and digits.isdigit():
+        raise DocumentError(f"line {lineno}: number too long ({len(digits)} digits)")
+    raise DocumentError(f"line {lineno}: expected an integer, got {clip(token)}")
 
 
 def render_dot(coloring: EdgeColoring) -> str:

@@ -113,7 +113,7 @@ def enumerate_gallai(n: int) -> Iterator[EdgeColoring]:
 
 def realizable_sequences(n: int) -> set[tuple[int, ...]]:
     """Sorted color degree sequences over all Gallai colorings of K_n."""
-    return {tuple(sorted(color_degrees(c))) for c in enumerate_gallai(n)}
+    return set(enumeration_stats(n).sequences)
 
 
 def enumeration_stats(n: int) -> EnumerationStats:

@@ -191,17 +191,17 @@ def recover_chain_order(coloring: EdgeColoring) -> ChainOrder:
     apex = max(apexes)
     rest = [v for v in range(n) if v != apex]
 
+    rows = coloring.rows()
+    apex_row = rows[apex]
     wins = {v: 0 for v in rest}
-    orientation: dict[tuple[int, int], int] = {}
     for idx, i in enumerate(rest):
+        row_i = rows[i]
         for j in rest[idx + 1 :]:
-            c = coloring.color(i, j)
-            if c == coloring.color(i, apex):
+            c = row_i[j]
+            if c == apex_row[i]:
                 wins[i] += 1
-                orientation[(i, j)] = i
-            elif c == coloring.color(j, apex):
+            elif c == apex_row[j]:
                 wins[j] += 1
-                orientation[(i, j)] = j
             else:
                 raise InternalConsistencyError(
                     f"edge ({i}, {j}) matches neither apex color; "
@@ -209,10 +209,12 @@ def recover_chain_order(coloring: EdgeColoring) -> ChainOrder:
                 )
 
     order = tuple(sorted(rest, key=lambda v: (-wins[v], v)))
+    # apex colors are pairwise distinct, so i -> j exactly when the edge
+    # reuses the apex color of i
     for idx, i in enumerate(order):
+        row_i, own = rows[i], apex_row[i]
         for j in order[idx + 1 :]:
-            key = (i, j) if i < j else (j, i)
-            if orientation[key] != i:
+            if row_i[j] != own:
                 raise InternalConsistencyError("tournament is not transitive")
     for pos, v in enumerate(order, start=1):
         if degrees[v] != pos:
@@ -236,16 +238,22 @@ def prefix_color_bound_report(coloring: EdgeColoring) -> PrefixBoundReport:
     distinct colors run from any vertex i >= k back to vertices 1..k-1.
 
     Holds for every rainbow-free coloring; a violation is reported as the
-    first offending (k, i).
+    first offending (k, i), k ascending, then i ascending.  The sets grow
+    incrementally: sorted position i keeps the colors it sends back to the
+    prefix, and step k adds the one edge toward vertex k-1 before comparing
+    with d(k-1).  Each pair is added once, so the cost is O(n^2).
     """
     degrees = color_degrees(coloring)
     order = sorted(range(coloring.n), key=lambda v: (degrees[v], v))
+    rows = coloring.rows()
     n = len(order)
+    back: list[set[int]] = [set() for _ in range(n)]
     for k in range(2, n + 1):
-        bound = degrees[order[k - 2]]
+        p = order[k - 2]
+        bound, row_p = degrees[p], rows[p]
         for i in range(k, n + 1):
-            v = order[i - 1]
-            back_colors = {coloring.color(v, order[p]) for p in range(k - 1)}
-            if len(back_colors) > bound:
+            colors = back[i - 1]
+            colors.add(row_p[order[i - 1]])
+            if len(colors) > bound:
                 return PrefixBoundReport(ok=False, violation=(k, i))
     return PrefixBoundReport(ok=True, violation=None)

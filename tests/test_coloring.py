@@ -27,11 +27,11 @@ def colorings(draw, max_n=6):
 
 
 @st.composite
-def few_color_colorings(draw, max_n=9):
-    """Colorings with at most four colors, so that both Gallai and rainbow
-    outcomes are common."""
+def few_color_colorings(draw, max_n=9, max_colors=4):
+    """Colorings with few colors, so that both Gallai and rainbow outcomes
+    are common."""
     n = draw(st.integers(min_value=1, max_value=max_n))
-    k = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=max_colors))
     m = n * (n - 1) // 2
     return EdgeColoring(n, tuple(draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))))
 

@@ -115,6 +115,24 @@ class TestParse:
         assert "characters)" in message
 
     @pytest.mark.parametrize(
+        "text, lineno, digits",
+        [
+            ("n 2\nedge 0 1 " + "7" * 5000 + "\n", 2, 5000),
+            ("n 2\nedge 0 1 +" + "7" * 10**5 + "\n", 2, 10**5),
+            ("n " + "9" * 5000 + "\n", 1, 5000),
+        ],
+        ids=["color", "signed-color", "header"],
+    )
+    def test_number_past_digit_limit_is_named_too_long(self, text, lineno, digits):
+        # well-formed decimals beyond int()'s string conversion limit are
+        # reported as too long, not as non-integers
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(text)
+        message = str(excinfo.value)
+        assert message == f"line {lineno}: number too long ({digits} digits)"
+        assert len(message) < 200
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("n 3\nedge 0 2 0\nedge 0 2 1\n", r"^line 3: pair \(0, 2\) repeated$"),

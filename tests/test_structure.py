@@ -1,13 +1,16 @@
 """Disconnected colors, component compression, chain orders, prefix bound."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import example, given
 
 from gallai import (
     ChainOrder,
     EdgeColoring,
     IllDefinedMergeError,
+    InternalConsistencyError,
     NotGallaiError,
     chain_coloring,
     color_component_split,
@@ -21,8 +24,39 @@ from gallai import (
     recover_chain_order,
     uniform_coloring,
 )
+from test_coloring import few_color_colorings, recolored
 
 RAINBOW_K3 = EdgeColoring(3, (0, 1, 2))
+
+
+def naive_prefix_color_bound_report(coloring):
+    """Oracle: rebuild the back-color set of every (k, i) from scratch."""
+    degrees = color_degrees(coloring)
+    order = sorted(range(coloring.n), key=lambda v: (degrees[v], v))
+    n = len(order)
+    for k in range(2, n + 1):
+        bound = degrees[order[k - 2]]
+        for i in range(k, n + 1):
+            v = order[i - 1]
+            back_colors = {coloring.color(v, order[p]) for p in range(k - 1)}
+            if len(back_colors) > bound:
+                return (False, (k, i))
+    return (True, None)
+
+
+def relabelled(coloring, perm):
+    """The coloring with vertex v renamed perm[v]."""
+    n = coloring.n
+    inverse = [0] * n
+    for v, w in enumerate(perm):
+        inverse[w] = v
+    return EdgeColoring(
+        n,
+        tuple(
+            coloring.color(inverse[a], inverse[b])
+            for a, b in itertools.combinations(range(n), 2)
+        ),
+    )
 
 
 class TestColorComponentSplit:
@@ -182,6 +216,38 @@ class TestRecoverChainOrder:
                 assert [degrees[v] for v in order] == list(range(1, n))
 
 
+class TestRecoverChainOrderChecks:
+    def test_relabelled_chain(self):
+        perm = random.Random(5).sample(range(30), 30)
+        apex, order = recover_chain_order(relabelled(chain_coloring(30), perm))
+        # chain vertices 28 and 29 both have full degree; the higher label
+        # becomes the apex and the other ends the row
+        top = (perm[28], perm[29])
+        assert apex == max(top)
+        assert order == tuple(perm[:28]) + (min(top),)
+
+    def test_edge_outside_apex_colors(self):
+        # apex 3 sees 0, 1, 2 in colors 0, 1, 2; edge (0, 1) has color 5
+        bad = EdgeColoring.from_pairs(
+            4,
+            {(0, 1): 5, (0, 2): 0, (0, 3): 0, (1, 2): 1, (1, 3): 1, (2, 3): 2},
+        )
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^edge \(0, 1\) matches neither apex color; rainbow triangle with the apex$",
+        ):
+            recover_chain_order(bad)
+
+    def test_cyclic_tournament(self):
+        # 0 -> 1 -> 2 -> 0: every vertex wins once, so no order is transitive
+        bad = EdgeColoring.from_pairs(
+            4,
+            {(0, 1): 0, (0, 2): 2, (0, 3): 0, (1, 2): 1, (1, 3): 1, (2, 3): 2},
+        )
+        with pytest.raises(InternalConsistencyError, match="^tournament is not transitive$"):
+            recover_chain_order(bad)
+
+
 class TestPrefixColorBound:
     def test_holds_on_enumerated(self, enumerated):
         for n in (1, 2, 3, 4):
@@ -204,6 +270,40 @@ class TestPrefixColorBound:
 
     def test_single_vertex_ok(self):
         assert prefix_color_bound_report(EdgeColoring(1, ())).ok
+
+
+def as_pair(report):
+    return (report.ok, report.violation)
+
+
+class TestPrefixBoundMatchesOracle:
+    """The incremental check returns the naive scan's verdict and (k, i)."""
+
+    # random colorings with five colors on up to 14 vertices mostly break
+    # the bound, at varying (k, i)
+    @given(few_color_colorings(max_n=14, max_colors=5))
+    # breaks the bound at (4, 4) and (4, 5): the first i must win
+    @example(EdgeColoring(5, (1, 1, 2, 2, 0, 0, 2, 2, 0, 2)))
+    def test_random_few_colors(self, coloring):
+        assert as_pair(prefix_color_bound_report(coloring)) == naive_prefix_color_bound_report(
+            coloring
+        )
+
+    def test_every_gallai_five_with_one_edge_recolored(self, enumerated):
+        for coloring in enumerated[5]:
+            assert as_pair(prefix_color_bound_report(coloring)) == (True, None)
+            assert naive_prefix_color_bound_report(coloring) == (True, None)
+            for index in range(len(coloring.colors)):
+                copy = recolored(coloring, index)
+                assert as_pair(prefix_color_bound_report(copy)) == (
+                    naive_prefix_color_bound_report(copy)
+                )
+
+    def test_relabelled_chain_400(self):
+        # the naive scan takes seconds here; the incremental one does not
+        perm = random.Random(400).sample(range(400), 400)
+        report = prefix_color_bound_report(relabelled(chain_coloring(400), perm))
+        assert as_pair(report) == (True, None)
 
 
 def test_module_docstring_helpers_consistent():
