@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle
 from .construct import chain_coloring, realize, uniform_coloring
@@ -82,11 +82,11 @@ def _deliver(coloring: EdgeColoring, args, out: Callable[[str], None]) -> None:
         out(f"wrote {args.dot}")
 
 
-def _emit_degrees(coloring: EdgeColoring, args, out: Callable[[str], None]) -> None:
+def _emit_degrees(sorted_degrees: Sequence[int], args, out: Callable[[str], None]) -> None:
     # When the document itself goes to stdout, keep the info line parseable
     # as a document comment.
     prefix = "# " if args.output is None else ""
-    out(prefix + "degrees: " + _fmt_values(sorted(color_degrees(coloring))))
+    out(prefix + "degrees: " + _fmt_values(sorted_degrees))
 
 
 def cmd_check(args) -> int:
@@ -100,15 +100,18 @@ def cmd_check(args) -> int:
 
 def cmd_construct(args) -> int:
     out = _printer(args.quiet)
+    values = _parse_sequence(args.sequence)
     try:
-        coloring = realize(_parse_sequence(args.sequence))
+        coloring = realize(values)
     except InfeasibleSequenceError as exc:
         for line in _slack_lines(exc.report):
             out(line)
         out(_verdict_line(exc.report))
         _fail(str(exc))
         return 1
-    _emit_degrees(coloring, args, out)
+    # realize accepted values as nondecreasing and matches them as its
+    # sorted color degrees, so they need no recount.
+    _emit_degrees(values, args, out)
     _deliver(coloring, args, out)
     return 0
 
@@ -148,7 +151,7 @@ def cmd_generate(args) -> int:
         coloring = chain_coloring(args.size)
     else:
         coloring = uniform_coloring(args.size)
-    _emit_degrees(coloring, args, out)
+    _emit_degrees(sorted(color_degrees(coloring)), args, out)
     _deliver(coloring, args, out)
     return 0
 

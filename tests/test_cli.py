@@ -1,9 +1,12 @@
 """Command-line behavior: exit codes, reports, files, and stability."""
 
+import random
+
 import pytest
 
-from gallai import EdgeColoring, parse_document, render_document
+from gallai import EdgeColoring, color_degrees, parse_document, render_document
 from gallai.cli import main
+from test_construct import duplication_sequence
 
 
 def run(capsys, *argv):
@@ -62,6 +65,17 @@ class TestConstruct:
         assert code == 0
         assert "degrees: 1, 2, 3, 3" in out
         assert parse_document(target.read_text()).n == 4
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_degree_line_matches_written_document(self, capsys, tmp_path, seed):
+        rng = random.Random(seed)
+        for n in (2, 7, 30, 64):
+            target = tmp_path / f"{n}.doc"
+            seq = duplication_sequence(n, rng)
+            code, out, _ = run(capsys, "construct", ",".join(map(str, seq)), "-o", str(target))
+            assert code == 0
+            degrees = sorted(color_degrees(parse_document(target.read_text())))
+            assert out.splitlines()[0] == "degrees: " + ", ".join(map(str, degrees))
 
     def test_deep_sequence_writes_file(self, capsys, tmp_path):
         target = tmp_path / "x.doc"

@@ -3,9 +3,15 @@
 The enumerator is refereed by an independent implementation that walks all
 restricted-growth colorings and filters with the rainbow scan afterwards;
 the two must produce identical streams.  Counts frozen from that referee:
-n = 1..5 give 1, 1, 4, 47, 1127 colorings up to color relabeling.
+n = 1..5 give 1, 1, 4, 47, 1127 colorings up to color relabeling.  At
+n = 6, beyond the referee's reach, the enumeration gives 44,300 colorings
+with 25 sorted degree sequences; the whole stream is pinned by a sha256
+taken from the walk that recounted degrees with ``color_degrees`` per leaf.
+``enumeration_stats`` reads the degrees its walk carries and is refereed by
+exactly that recount, ``naive_enumeration_stats``.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -27,9 +33,14 @@ from gallai import (
     realizable_sequences,
     uniform_coloring,
 )
-from gallai.oracle import _partitions_by_block_count
+from gallai.oracle import EnumerationStats, _partitions_by_block_count
 
 GALLAI_COUNTS = {1: 1, 2: 1, 3: 4, 4: 47, 5: 1127}
+SIX_VERTEX_COUNT = 44300
+SIX_VERTEX_SEQUENCES = 25
+# sha256 over the color tuples of enumerate_gallai(6), concatenated in
+# stream order, one byte per color.
+SIX_VERTEX_STREAM_SHA256 = "6ec8b63316d6da89e8172ac96e40492a46af86b4096063e56a77413be579daec"
 
 RAINBOW_K3 = EdgeColoring(3, (0, 1, 2))
 
@@ -50,6 +61,16 @@ def unfiltered_reference(n):
             colors.pop()
 
     yield from rec(0, 0, [])
+
+
+def naive_enumeration_stats(n):
+    """Count and sequence set recounted from each enumerated coloring."""
+    count = 0
+    sequences = set()
+    for c in enumerate_gallai(n):
+        count += 1
+        sequences.add(tuple(sorted(color_degrees(c))))
+    return EnumerationStats(n=n, count=count, sequences=frozenset(sequences))
 
 
 class TestEnumerate:
@@ -86,10 +107,13 @@ class TestEnumerate:
                 assert len(coloring.color_set()) <= n - 1
 
     def test_size_guard(self):
+        # raised when called, before the first next()
         with pytest.raises(SizeGuardError):
-            list(enumerate_gallai(7))
+            enumerate_gallai(7)
         with pytest.raises(ValueError):
-            list(enumerate_gallai(0))
+            enumerate_gallai(0)
+        with pytest.raises(SizeGuardError):
+            enumeration_stats(7)
 
     def test_stats(self, enumerated):
         stats = enumeration_stats(4)
@@ -98,6 +122,21 @@ class TestEnumerate:
         assert stats.sequences == {
             tuple(sorted(color_degrees(c))) for c in enumerated[4]
         }
+
+    def test_six_vertex_stream_digest(self):
+        stream = itertools.chain.from_iterable(c.colors for c in enumerate_gallai(6))
+        assert hashlib.sha256(bytes(stream)).hexdigest() == SIX_VERTEX_STREAM_SHA256
+
+
+class TestEnumerationStats:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_naive(self, n):
+        assert enumeration_stats(n) == naive_enumeration_stats(n)
+
+    def test_six_vertices_frozen(self):
+        stats = enumeration_stats(6)
+        assert stats.count == SIX_VERTEX_COUNT
+        assert len(stats.sequences) == SIX_VERTEX_SEQUENCES
 
 
 class TestRealizableSequences:
