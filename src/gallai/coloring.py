@@ -4,13 +4,18 @@ An edge coloring assigns a nonnegative color id to every unordered pair of
 distinct vertices of K_n.  The color degree of a vertex is the number of
 distinct colors on its incident edges.  A coloring is *Gallai* when no
 triangle carries three pairwise-distinct colors (no rainbow triangle).
+
+The stored form of a coloring is the flat tuple of its upper triangle.
+Readers index the symmetric color matrix that ``rows()`` builds from it,
+and ``from_rows()`` reads such a matrix back into the flat tuple; these
+two are the only conversions between the layouts.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -74,28 +79,15 @@ class EdgeColoring:
         return set(self.colors)
 
     @classmethod
-    def from_pairs(cls, n: int, pair_colors: Mapping[tuple[int, int], int]) -> "EdgeColoring":
-        """Build from a mapping of unordered pairs to colors.
-
-        The mapping may key pairs in either orientation but must cover every
-        pair of distinct vertices exactly once.
-        """
-        seen: dict[tuple[int, int], int] = {}
-        for (u, v), c in pair_colors.items():
-            if u == v:
-                raise ValueError(f"self-pair ({u}, {v}) is not colorable")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"pair {key} assigned twice")
-            seen[key] = c
-        expected = n * (n - 1) // 2
-        if len(seen) != expected:
-            raise ValueError(f"expected {expected} pairs for n={n}, got {len(seen)}")
-        colors = []
-        for u, v in itertools.combinations(range(n), 2):
-            if (u, v) not in seen:
-                raise ValueError(f"pair ({u}, {v}) is missing")
-            colors.append(seen[(u, v)])
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "EdgeColoring":
+        """Inverse of ``rows()``: the coloring whose entry for u < v is
+        ``rows[u][v]``.  Only the upper triangle of the square matrix is read."""
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"expected {n} rows of length {n}")
+        colors: list[int] = []
+        for u, row in enumerate(rows):
+            colors.extend(row[u + 1:])
         return cls(n, tuple(colors))
 
 
@@ -111,18 +103,19 @@ class RainbowWitness:
     colors: tuple[int, int, int]
 
 
+def row_degrees(rows: list[list[int]]) -> list[int]:
+    """Color degrees read off ``EdgeColoring.rows()``: the distinct entries
+    of each row, less the diagonal's -1."""
+    return [len(set(row)) - 1 for row in rows]
+
+
 def color_degrees(coloring: EdgeColoring) -> list[int]:
     """Per-vertex color degrees, indexed by vertex (unsorted).
 
     Entry v counts the distinct colors on edges incident to v; a single
     vertex has degree 0.
     """
-    n = coloring.n
-    seen: list[set[int]] = [set() for _ in range(n)]
-    for u, v, c in coloring.pairs():
-        seen[u].add(c)
-        seen[v].add(c)
-    return [len(s) for s in seen]
+    return row_degrees(coloring.rows())
 
 
 def find_rainbow_triangle(coloring: EdgeColoring) -> RainbowWitness | None:

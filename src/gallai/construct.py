@@ -64,13 +64,6 @@ def _append_clone(rows: list[list[int]], v: int, bridge: int) -> None:
     rows.append(clone)
 
 
-def _flatten(rows: list[list[int]]) -> EdgeColoring:
-    colors: list[int] = []
-    for u, row in enumerate(rows):
-        colors.extend(row[u + 1:])
-    return EdgeColoring(len(rows), tuple(colors))
-
-
 def duplicate_vertex(
     coloring: EdgeColoring, v: int, choice: DuplicationChoice
 ) -> EdgeColoring:
@@ -92,7 +85,7 @@ def duplicate_vertex(
     else:
         bridge = max(coloring.colors, default=-1) + 1
     _append_clone(rows, v, bridge)
-    return _flatten(rows)
+    return EdgeColoring.from_rows(rows)
 
 
 def realize(values: Sequence[int]) -> EdgeColoring:
@@ -143,7 +136,7 @@ def realize(values: Sequence[int]) -> EdgeColoring:
             degrees[v] += 1
         degrees.append(degrees[v])
         _append_clone(rows, v, bridge)
-    return normalize_colors(_flatten(rows))
+    return normalize_colors(EdgeColoring.from_rows(rows))
 
 
 def chain_coloring(n: int) -> EdgeColoring:

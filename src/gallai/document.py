@@ -72,6 +72,8 @@ def parse_document(text: str) -> EdgeColoring:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not line.isascii():
+            raise DocumentError(f"line {lineno}: expected ASCII text, got {clip(raw)}")
         fields = line.split()
         if n is None:
             if len(fields) != 2 or fields[0] != "n":
@@ -106,15 +108,21 @@ def parse_document(text: str) -> EdgeColoring:
 
 
 def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    # int() rejects a well-formed decimal only past the interpreter's
-    # digit limit for string conversion
+    # Reads "-?[0-9]+" only: on an ASCII line isdigit() means [0-9], while
+    # int() alone would also take "+1" and "1_0".
+    if token.isdigit() or token[0] == "-" and token[1:].isdigit():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    # int() rejects a run of digits only past the interpreter's limit for
+    # string conversion; that is too long, whatever its sign
     digits = token[1:] if token[0] in "+-" else token
-    if digits.isascii() and digits.isdigit():
-        raise DocumentError(f"line {lineno}: number too long ({len(digits)} digits)")
+    if digits.isdigit():
+        try:
+            int(digits)
+        except ValueError:
+            raise DocumentError(f"line {lineno}: number too long ({len(digits)} digits)") from None
     raise DocumentError(f"line {lineno}: expected an integer, got {clip(token)}")
 
 

@@ -235,13 +235,14 @@ def brute_force_gallai_partition(coloring: EdgeColoring) -> GallaiPartition:
     if witness is not None:
         raise NotGallaiError(witness)
 
+    rows = coloring.rows()
     for parts in _partitions_by_block_count(n):
         cross_colors: set[int] = set()
         part_pair_color: dict[tuple[int, int], int] = {}
         ok = True
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
-                joining = {coloring.color(u, v) for u in parts[i] for v in parts[j]}
+                joining = {rows[u][v] for u in parts[i] for v in parts[j]}
                 if len(joining) != 1:
                     ok = False
                     break

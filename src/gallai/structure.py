@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle
+# color_degrees stays importable here: the benchmark's tracer wraps it.
+from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle, row_degrees  # noqa: F401
 from .errors import IllDefinedMergeError, InternalConsistencyError, NotGallaiError
 
 
@@ -52,12 +53,13 @@ def color_component_split(coloring: EdgeColoring, color: int) -> ColorComponentS
     subgraph is connected.  The color must appear in the coloring."""
     if color not in coloring.color_set():
         raise ValueError(f"color {color} does not appear in the coloring")
-    n = coloring.n
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v, c in coloring.pairs():
-        if c == color:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
+    return _split(coloring.rows(), color)
+
+
+def _split(rows: list[list[int]], color: int) -> ColorComponentSplit | None:
+    """``color_component_split`` on the rows of a coloring: a depth-first
+    search that scans the row of each vertex it reaches once."""
+    n = len(rows)
     seen = [False] * n
     components = []
     for start in range(n):
@@ -69,8 +71,8 @@ def color_component_split(coloring: EdgeColoring, color: int) -> ColorComponentS
         while stack:
             x = stack.pop()
             comp.append(x)
-            for y in adjacency[x]:
-                if not seen[y]:
+            for y, c in enumerate(rows[x]):
+                if c == color and not seen[y]:
                     seen[y] = True
                     stack.append(y)
         components.append(tuple(sorted(comp)))
@@ -91,8 +93,9 @@ def find_disconnected_color(coloring: EdgeColoring) -> ColorComponentSplit | Non
     witness = find_rainbow_triangle(coloring)
     if witness is not None:
         raise NotGallaiError(witness)
+    rows = coloring.rows()
     for color in sorted(coloring.color_set()):
-        split = color_component_split(coloring, color)
+        split = _split(rows, color)
         if split is not None:
             return split
     return None
@@ -108,8 +111,8 @@ def compress_component(
     and all other edges are untouched.  Outside vertices are reindexed in
     ascending order, the merged node comes last.
     """
-    recomputed = color_component_split(coloring, split.color)
-    if recomputed != split:
+    rows = coloring.rows()
+    if split.color not in coloring.color_set() or _split(rows, split.color) != split:
         raise ValueError("split does not match the coloring")
     if not 0 <= which < len(split.components):
         raise ValueError(f"component index {which} out of range")
@@ -118,28 +121,24 @@ def compress_component(
     if not outside:
         raise ValueError("component must be a proper subset of the vertices")
 
-    outside_colors = {}
+    reduced_rows = []
+    outside_colors = []
     for w in outside:
-        into = {coloring.color(w, a) for a in merged}
+        row = rows[w]
+        into = {row[a] for a in merged}
         if len(into) != 1:
             raise IllDefinedMergeError(
                 f"vertex {w} sees colors {sorted(into)} into the component; "
                 "was the split taken from a rainbow-free coloring?"
             )
-        outside_colors[w] = into.pop()
-
-    # Upper triangle of the reduced coloring, row by row: outside vertex i
-    # toward the later outside vertices, then toward the merged node m.
-    m = len(outside)
-    colors: list[int] = []
-    for i, w in enumerate(outside):
-        colors.extend(coloring.color(w, x) for x in outside[i + 1:])
-        colors.append(outside_colors[w])
-    reduced = EdgeColoring(m + 1, tuple(colors))
+        c = into.pop()
+        outside_colors.append(c)
+        reduced_rows.append([row[x] for x in outside] + [c])
+    reduced_rows.append(outside_colors + [-1])
     return CompressionResult(
-        reduced=reduced,
-        compressed_vertex=m,
-        outside_color_count=len(set(outside_colors.values())),
+        reduced=EdgeColoring.from_rows(reduced_rows),
+        compressed_vertex=len(outside),
+        outside_color_count=len(set(outside_colors)),
     )
 
 
@@ -155,12 +154,9 @@ def compression_degree_bounds(
     carry exactly the outside colors.
     """
     merged = split.components[which]
-    degrees = color_degrees(coloring)
-    rows = []
-    for v in merged:
-        within = {coloring.color(v, u) for u in merged if u != v}
-        rows.append((v, degrees[v], len(within)))
-    return rows
+    rows = coloring.rows()
+    degrees = row_degrees(rows)
+    return [(v, degrees[v], len({rows[v][u] for u in merged if u != v})) for v in merged]
 
 
 class ChainOrder(NamedTuple):
@@ -184,14 +180,14 @@ def recover_chain_order(coloring: EdgeColoring) -> ChainOrder:
     n = coloring.n
     if n < 2:
         raise ValueError("need at least two vertices")
-    degrees = color_degrees(coloring)
+    rows = coloring.rows()
+    degrees = row_degrees(rows)
     apexes = [v for v in range(n) if degrees[v] == n - 1]
     if not apexes:
         raise ValueError(f"no vertex of color degree {n - 1}")
     apex = max(apexes)
     rest = [v for v in range(n) if v != apex]
 
-    rows = coloring.rows()
     apex_row = rows[apex]
     wins = {v: 0 for v in rest}
     for idx, i in enumerate(rest):
@@ -243,9 +239,9 @@ def prefix_color_bound_report(coloring: EdgeColoring) -> PrefixBoundReport:
     prefix, and step k adds the one edge toward vertex k-1 before comparing
     with d(k-1).  Each pair is added once, so the cost is O(n^2).
     """
-    degrees = color_degrees(coloring)
-    order = sorted(range(coloring.n), key=lambda v: (degrees[v], v))
     rows = coloring.rows()
+    degrees = row_degrees(rows)
+    order = sorted(range(coloring.n), key=lambda v: (degrees[v], v))
     n = len(order)
     back: list[set[int]] = [set() for _ in range(n)]
     for k in range(2, n + 1):

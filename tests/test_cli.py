@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, reports, files, and stability."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,28 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--quiet", "2,2,2")
         assert code == 1
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "sequence",
+        ["1,\u0661", "\u0661,\u0661", "1_0,1_0", "+1,+1", "1,+1", "1,1.0", "1,0x1", "1,\u00b2", "1,\uff11", "1,\u00a01", "1,-", "1,,1"],
+        ids=["arabic-indic", "all-arabic-indic", "underscore", "plus", "one-plus", "decimal-point", "hex", "superscript", "fullwidth", "nbsp", "bare-minus", "empty-token"],
+    )
+    def test_only_plain_ascii_decimals(self, capsys, sequence):
+        code, out, err = run(capsys, "check", sequence)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: not a comma-separated integer list: ")
+        assert len(err) < 200
+
+    def test_plain_decimals_accepted(self, capsys):
+        # leading zeros and spaces around tokens stay accepted; a minus
+        # reaches the nonnegativity check
+        code, out, _ = run(capsys, "check", " 01 , 1 ")
+        assert code == 0
+        assert "verdict: feasible" in out
+        code, _, err = run(capsys, "check", "--", "-1,1")
+        assert code == 2
+        assert "nonnegative" in err
 
     def test_table_lists_every_k(self, capsys):
         _, out, _ = run(capsys, "check", "1,1,2,3,3")
@@ -162,6 +188,16 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("token", ["+0", "\u0661"], ids=["plus", "arabic-indic"])
+    def test_non_plain_number_is_usage_error(self, capsys, tmp_path, token):
+        path = tmp_path / "bad.doc"
+        path.write_text(f"n 2\nedge {token} 1 0\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 2: ")
+        assert len(err) < 200
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.doc"))
         assert code == 2
@@ -204,10 +240,10 @@ class TestCrosscheck:
         assert "n=3: 2 realizable, 2 feasible" in out
         assert "sets match" in out
 
-    def test_six_needs_flag(self, capsys):
-        code, _, err = run(capsys, "crosscheck", "6")
-        assert code == 2
-        assert "--allow-large" in err
+    def test_six_without_flag(self, capsys):
+        code, out, _ = run(capsys, "crosscheck", "6")
+        assert code == 0
+        assert "sets match" in out
 
     def test_six_with_flag(self, capsys):
         code, out, _ = run(capsys, "crosscheck", "6", "--allow-large")
@@ -254,6 +290,18 @@ class TestPartition:
         path.write_text("n 1\n")
         code, _, _ = run(capsys, "partition", str(path))
         assert code == 2
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gallai", "check", "1,1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "verdict: feasible" in proc.stdout
 
 
 class TestHarness:

@@ -47,6 +47,15 @@ def naive_rainbow_triangle(coloring):
     return None
 
 
+def naive_color_degrees(coloring):
+    """Oracle: one walk over the pairs, collecting each vertex's colors."""
+    seen = [set() for _ in range(coloring.n)]
+    for u, v, c in coloring.pairs():
+        seen[u].add(c)
+        seen[v].add(c)
+    return [len(s) for s in seen]
+
+
 def recolored(coloring, index):
     """Copy of the coloring with the edge at ``index`` given a fresh color."""
     colors = list(coloring.colors)
@@ -97,26 +106,31 @@ class TestEdgeColoring:
         assert c.color_set() == set()
         assert color_degrees(c) == [0]
 
-    def test_from_pairs_round_trip(self):
-        c = EdgeColoring(4, (0, 1, 0, 2, 1, 0))
-        rebuilt = EdgeColoring.from_pairs(4, {(u, v): col for u, v, col in c.pairs()})
-        assert rebuilt == c
+    def test_from_rows_reads_the_upper_triangle(self):
+        # entries below the diagonal and on it are not read
+        rows = [[9, 0, 1], [7, 9, 2], [7, 7, 9]]
+        assert EdgeColoring.from_rows(rows) == EdgeColoring(3, (0, 1, 2))
 
-    def test_from_pairs_accepts_either_orientation(self):
-        c = EdgeColoring.from_pairs(2, {(1, 0): 3})
-        assert c.color(0, 1) == 3
-
-    def test_from_pairs_rejects_missing_pair(self):
+    def test_from_rows_rejects_ragged_rows(self):
+        # the upper triangle still holds 3 = n(n-1)/2 entries
         with pytest.raises(ValueError):
-            EdgeColoring.from_pairs(3, {(0, 1): 0, (0, 2): 0})
+            EdgeColoring.from_rows([[-1, 0], [0, -1, 0, 0], [0, 0, -1]])
 
-    def test_from_pairs_rejects_duplicate_pair(self):
+    def test_from_rows_validates_colors(self):
         with pytest.raises(ValueError):
-            EdgeColoring.from_pairs(2, {(0, 1): 0, (1, 0): 1})
+            EdgeColoring.from_rows([[-1, -1], [-1, -1]])
+        with pytest.raises(ValueError):
+            EdgeColoring.from_rows([])
 
-    def test_from_pairs_rejects_self_pair(self):
-        with pytest.raises(ValueError):
-            EdgeColoring.from_pairs(2, {(0, 1): 0, (1, 1): 0})
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_from_rows_inverts_rows(self, n):
+        m = n * (n - 1) // 2
+        for c in (EdgeColoring(n, tuple(range(m))), EdgeColoring(n, (0,) * m), chain_coloring(n)):
+            assert EdgeColoring.from_rows(c.rows()) == c
+
+    @given(colorings())
+    def test_from_rows_inverts_rows_random(self, coloring):
+        assert EdgeColoring.from_rows(coloring.rows()) == coloring
 
     @given(colorings())
     def test_pair_indexing_consistent(self, coloring):
@@ -135,9 +149,13 @@ class TestRainbow:
 
     def test_smallest_witness_wins(self):
         # both (0, 1, 3) and (0, 2, 3) are rainbow; lexicographic order
-        c = EdgeColoring.from_pairs(
-            4,
-            {(0, 1): 0, (0, 2): 0, (0, 3): 1, (1, 2): 0, (1, 3): 2, (2, 3): 2},
+        c = EdgeColoring.from_rows(
+            [
+                [-1,  0,  0,  1],
+                [ 0, -1,  0,  2],
+                [ 0,  0, -1,  2],
+                [ 1,  2,  2, -1],
+            ]
         )
         witness = find_rainbow_triangle(c)
         assert witness.vertices == (0, 1, 3)
@@ -201,6 +219,18 @@ class TestColorDegrees:
     def test_mixed_example(self):
         # vertex 0 sees {0, 1}, vertex 1 sees {0, 2}, vertex 2 sees {1, 2}
         assert color_degrees(EdgeColoring(3, (0, 1, 2))) == [2, 2, 2]
+
+    @given(colorings())
+    def test_matches_pair_walk(self, coloring):
+        assert color_degrees(coloring) == naive_color_degrees(coloring)
+
+    def test_matches_pair_walk_enumerated(self, enumerated):
+        for coloring in enumerated[5]:
+            assert color_degrees(coloring) == naive_color_degrees(coloring)
+
+    @pytest.mark.parametrize("coloring", [chain_coloring(60), uniform_coloring(4)], ids=["chain-60", "uniform-4"])
+    def test_matches_pair_walk_families(self, coloring):
+        assert color_degrees(coloring) == naive_color_degrees(coloring)
 
     @given(colorings())
     def test_matches_per_vertex_recount(self, coloring):

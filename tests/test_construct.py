@@ -1,6 +1,7 @@
 """Vertex duplication and the realization of feasible sequences."""
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -30,7 +31,7 @@ from gallai.oracle import candidate_sequences
 
 def naive_duplicate(coloring, v, choice):
     """Reference for ``duplicate_vertex``: rebuilds every pair through a
-    dict and ``EdgeColoring.from_pairs``."""
+    dict and reads the color tuple off it in lexicographic pair order."""
     n = coloring.n
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range for n={n}")
@@ -44,7 +45,8 @@ def naive_duplicate(coloring, v, choice):
     pair_colors = {(u, w): c for u, w, c in coloring.pairs()}
     for u in range(n):
         pair_colors[(u, n)] = bridge if u == v else coloring.color(v, u)
-    return EdgeColoring.from_pairs(n + 1, pair_colors)
+    pairs = itertools.combinations(range(n + 1), 2)
+    return EdgeColoring(n + 1, tuple(pair_colors[p] for p in pairs))
 
 
 def naive_realize(values):
@@ -230,7 +232,8 @@ class TestDuplicateVertex:
         pair_colors = {(u, w): c for u, w, c in coloring.pairs()}
         for u in range(n):
             pair_colors[(u, n)] = bridge if u == v else coloring.color(v, u)
-        assert is_gallai(EdgeColoring.from_pairs(n + 1, pair_colors))
+        pairs = itertools.combinations(range(n + 1), 2)
+        assert is_gallai(EdgeColoring(n + 1, tuple(pair_colors[p] for p in pairs)))
 
 
 class TestRealize:

@@ -92,6 +92,38 @@ class TestParse:
         with pytest.raises(DocumentError):
             parse_document(text)
 
+    @pytest.mark.parametrize(
+        "token",
+        ["+0", "+1", "1_0", "0x1", "1.0", "--1", "+-1", "-", "\u0661", "\u00b2", "\uff11", "1\u00a01"],
+        ids=["plus-zero", "plus-one", "underscore", "hex", "decimal-point", "double-minus",
+             "plus-minus", "bare-minus", "arabic-indic", "superscript", "fullwidth", "nbsp"],
+    )
+    @pytest.mark.parametrize("place", ["header", "vertex", "color"])
+    def test_only_plain_ascii_decimals(self, token, place):
+        text = {
+            "header": f"n {token}\n",
+            "vertex": f"n 2\nedge {token} 1 0\n",
+            "color": f"n 2\nedge 0 1 {token}\n",
+        }[place]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(text)
+        message = str(excinfo.value)
+        assert len(message) < 200
+        assert message.startswith("line 1: " if place == "header" else "line 2: ")
+        if token.isascii():
+            assert message.endswith(f"expected an integer, got {token!r}")
+        else:
+            assert "expected ASCII text, got " in message
+
+    def test_mixed_bad_tokens_fail_at_the_first(self):
+        with pytest.raises(DocumentError, match=r"^line 1: expected an integer, got '\+2'$"):
+            parse_document("n +2\nedge +0 1 \u0661")
+
+    def test_plain_decimals_accepted(self):
+        # leading zeros, a negative zero and non-ASCII comments are fine
+        text = "# gr\u00fc\u00dfe\nn 002\nedge 00 01 -0\n"
+        assert parse_document(text) == EdgeColoring(2, (0,))
+
     def test_error_mentions_line_number(self):
         with pytest.raises(DocumentError, match="line 3"):
             parse_document("n 2\n# fine\nedge 0 1 nope\n")

@@ -42,6 +42,11 @@ SIX_VERTEX_SEQUENCES = 25
 # stream order, one byte per color.
 SIX_VERTEX_STREAM_SHA256 = "6ec8b63316d6da89e8172ac96e40492a46af86b4096063e56a77413be579daec"
 
+# sha256 over the reprs of brute_force_gallai_partition of every
+# enumerated coloring for n = 2..5, taken from the implementation that read
+# each cross edge through EdgeColoring.color.
+PARTITION_DIGEST = "db622f9d3c7db921aafcf62fe0a817f3ab49c43839bb35850b999442d0630e94"
+
 RAINBOW_K3 = EdgeColoring(3, (0, 1, 2))
 
 
@@ -254,3 +259,10 @@ class TestGallaiPartition:
                     seen_colors |= joining
                 assert seen_colors == set(partition.cross_colors)
                 assert len(seen_colors) <= 2
+
+    def test_enumerated_digest(self, enumerated):
+        h = hashlib.sha256()
+        for n in range(2, 6):
+            for coloring in enumerated[n]:
+                h.update(repr(brute_force_gallai_partition(coloring)).encode())
+        assert h.hexdigest() == PARTITION_DIGEST

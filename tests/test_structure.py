@@ -1,5 +1,6 @@
 """Disconnected colors, component compression, chain orders, prefix bound."""
 
+import hashlib
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import example, given
 
 from gallai import (
     ChainOrder,
+    DuplicationChoice,
     EdgeColoring,
     IllDefinedMergeError,
     InternalConsistencyError,
@@ -17,6 +19,7 @@ from gallai import (
     color_degrees,
     compress_component,
     compression_degree_bounds,
+    duplicate_vertex,
     find_disconnected_color,
     is_gallai,
     monochromatic_coloring,
@@ -57,6 +60,32 @@ def relabelled(coloring, perm):
             for a, b in itertools.combinations(range(n), 2)
         ),
     )
+
+
+def duplication_coloring(n, seed):
+    """K_1 grown by n - 1 seeded random duplications, its vertices then
+    shuffled so that components interleave with the outside vertices."""
+    rng = random.Random(seed)
+    coloring = EdgeColoring(1, ())
+    while coloring.n < n:
+        v = rng.randrange(coloring.n)
+        fresh = coloring.n == 1 or rng.random() < 0.5
+        choice = DuplicationChoice.FRESH_COLOR if fresh else DuplicationChoice.EXISTING_COLOR
+        coloring = duplicate_vertex(coloring, v, choice)
+    return relabelled(coloring, rng.sample(range(n), n))
+
+
+def compression_digest(colorings):
+    """sha256 over the reprs of each coloring's disconnected color and of
+    the compression of every one of its components."""
+    h = hashlib.sha256()
+    for coloring in colorings:
+        split = find_disconnected_color(coloring)
+        h.update(repr(split).encode())
+        if split is not None:
+            for which in range(len(split.components)):
+                h.update(repr(compress_component(coloring, split, which)).encode())
+    return h.hexdigest()
 
 
 class TestColorComponentSplit:
@@ -134,9 +163,13 @@ class TestCompressComponent:
     def test_ill_defined_merge_detected(self):
         # vertex 0 sees the color-2 component {2, 3} in two colors; only
         # possible because this coloring has a rainbow triangle
-        bad = EdgeColoring.from_pairs(
-            4,
-            {(0, 1): 0, (0, 2): 0, (0, 3): 1, (1, 2): 0, (1, 3): 0, (2, 3): 2},
+        bad = EdgeColoring.from_rows(
+            [
+                [-1,  0,  0,  1],
+                [ 0, -1,  0,  0],
+                [ 0,  0, -1,  2],
+                [ 1,  0,  2, -1],
+            ]
         )
         split = color_component_split(bad, 2)
         with pytest.raises(IllDefinedMergeError):
@@ -184,6 +217,25 @@ class TestCompressComponent:
                     assert full <= within + result.outside_color_count
 
 
+class TestCompressionDigests:
+    """Splits and compressions pinned by sha256 digests taken from the
+    implementation that walked the pairs once per color tried and read
+    every edge through ``EdgeColoring.color``."""
+
+    # every enumerated coloring for n = 2..5 (1179 of them)
+    ENUMERATED_DIGEST = "4c2cef0aa38e66029acdf8b95ad13bab90d18f811e2d9dd0fe681172f12e6030"
+    # duplication_coloring(n, seed) for n = 40, 43, ..., 64 and seeds 0..8
+    DUPLICATION_DIGEST = "a24450147e0a08b526dab42d42c899fd0f4752f6027e4d4da9e0e42375c008f4"
+
+    def test_enumerated(self, enumerated):
+        colorings = [c for n in range(2, 6) for c in enumerated[n]]
+        assert compression_digest(colorings) == self.ENUMERATED_DIGEST
+
+    def test_duplication(self):
+        colorings = [duplication_coloring(n, seed) for seed, n in enumerate(range(40, 65, 3))]
+        assert compression_digest(colorings) == self.DUPLICATION_DIGEST
+
+
 class TestRecoverChainOrder:
     def test_chain_four(self):
         assert recover_chain_order(chain_coloring(4)) == ChainOrder(apex=3, order=(0, 1, 2))
@@ -228,9 +280,13 @@ class TestRecoverChainOrderChecks:
 
     def test_edge_outside_apex_colors(self):
         # apex 3 sees 0, 1, 2 in colors 0, 1, 2; edge (0, 1) has color 5
-        bad = EdgeColoring.from_pairs(
-            4,
-            {(0, 1): 5, (0, 2): 0, (0, 3): 0, (1, 2): 1, (1, 3): 1, (2, 3): 2},
+        bad = EdgeColoring.from_rows(
+            [
+                [-1,  5,  0,  0],
+                [ 5, -1,  1,  1],
+                [ 0,  1, -1,  2],
+                [ 0,  1,  2, -1],
+            ]
         )
         with pytest.raises(
             InternalConsistencyError,
@@ -240,9 +296,13 @@ class TestRecoverChainOrderChecks:
 
     def test_cyclic_tournament(self):
         # 0 -> 1 -> 2 -> 0: every vertex wins once, so no order is transitive
-        bad = EdgeColoring.from_pairs(
-            4,
-            {(0, 1): 0, (0, 2): 2, (0, 3): 0, (1, 2): 1, (1, 3): 1, (2, 3): 2},
+        bad = EdgeColoring.from_rows(
+            [
+                [-1,  0,  2,  0],
+                [ 0, -1,  1,  1],
+                [ 2,  1, -1,  2],
+                [ 0,  1,  2, -1],
+            ]
         )
         with pytest.raises(InternalConsistencyError, match="^tournament is not transitive$"):
             recover_chain_order(bad)
@@ -259,9 +319,13 @@ class TestPrefixColorBound:
     def test_violation_located(self):
         # vertex 3 sees three distinct colors toward {0, 1, 2} although the
         # third-smallest degree is 2; needs a rainbow triangle to happen
-        bad = EdgeColoring.from_pairs(
-            4,
-            {(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 2): 0, (1, 3): 1, (2, 3): 2},
+        bad = EdgeColoring.from_rows(
+            [
+                [-1,  0,  0,  0],
+                [ 0, -1,  0,  1],
+                [ 0,  0, -1,  2],
+                [ 0,  1,  2, -1],
+            ]
         )
         assert not is_gallai(bad)
         report = prefix_color_bound_report(bad)
@@ -317,9 +381,13 @@ def test_module_docstring_helpers_consistent():
 
 
 def test_prefix_bound_violation_example_consistency():
-    c = EdgeColoring.from_pairs(
-        4,
-        {(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 2): 0, (1, 3): 1, (2, 3): 2},
+    c = EdgeColoring.from_rows(
+        [
+            [-1,  0,  0,  0],
+            [ 0, -1,  0,  1],
+            [ 0,  0, -1,  2],
+            [ 0,  1,  2, -1],
+        ]
     )
     degrees = color_degrees(c)
     order = sorted(range(4), key=lambda v: (degrees[v], v))
