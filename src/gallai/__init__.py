@@ -24,14 +24,11 @@ from .construct import (
     DuplicationChoice,
     chain_coloring,
     duplicate_vertex,
-    monochromatic_coloring,
     realize,
     uniform_coloring,
 )
 from .document import (
-    PALETTE,
     parse_document,
-    pen_color,
     render_document,
     render_dot,
 )
@@ -58,11 +55,9 @@ from .oracle import (
     EnumerationStats,
     GallaiPartition,
     brute_force_gallai_partition,
-    candidate_sequences,
     crosscheck,
     enumerate_gallai,
     enumeration_stats,
-    realizable_sequences,
 )
 from .structure import (
     ChainOrder,
@@ -71,65 +66,9 @@ from .structure import (
     PrefixBoundReport,
     color_component_split,
     compress_component,
-    compression_degree_bounds,
     find_disconnected_color,
     prefix_color_bound_report,
     recover_chain_order,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EdgeColoring",
-    "RainbowWitness",
-    "color_degrees",
-    "find_rainbow_triangle",
-    "is_gallai",
-    "normalize_colors",
-    "UNIFORM_SIZE_LIMIT",
-    "DuplicationChoice",
-    "chain_coloring",
-    "duplicate_vertex",
-    "monochromatic_coloring",
-    "realize",
-    "uniform_coloring",
-    "PALETTE",
-    "parse_document",
-    "pen_color",
-    "render_document",
-    "render_dot",
-    "DocumentError",
-    "GallaiError",
-    "IllDefinedMergeError",
-    "InfeasibleSequenceError",
-    "InternalConsistencyError",
-    "MalformedSequenceError",
-    "NotGallaiError",
-    "SizeGuardError",
-    "FeasibilityReport",
-    "check_sequence",
-    "min_degree_upper_bound",
-    "validate_sequence",
-    "ENUMERATION_SIZE_LIMIT",
-    "PARTITION_SIZE_LIMIT",
-    "CrosscheckResult",
-    "EnumerationStats",
-    "GallaiPartition",
-    "brute_force_gallai_partition",
-    "candidate_sequences",
-    "crosscheck",
-    "enumerate_gallai",
-    "enumeration_stats",
-    "realizable_sequences",
-    "ChainOrder",
-    "ColorComponentSplit",
-    "CompressionResult",
-    "PrefixBoundReport",
-    "color_component_split",
-    "compress_component",
-    "compression_degree_bounds",
-    "find_disconnected_color",
-    "prefix_color_bound_report",
-    "recover_chain_order",
-    "__version__",
-]

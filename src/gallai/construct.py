@@ -41,11 +41,11 @@ class DuplicationChoice(enum.Enum):
     FRESH_COLOR = "fresh"
 
 
-def monochromatic_coloring(n: int, color: int = 0) -> EdgeColoring:
-    """All edges of K_n in a single color; every color degree is 1 (0 for K_1)."""
+def monochromatic_coloring(n: int) -> EdgeColoring:
+    """All edges of K_n in color 0; every color degree is 1 (0 for K_1)."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    return EdgeColoring(n, (color,) * (n * (n - 1) // 2))
+    return EdgeColoring(n, (0,) * (n * (n - 1) // 2))
 
 
 def _smallest_incident(rows: list[list[int]], v: int) -> int:
@@ -144,13 +144,15 @@ def chain_coloring(n: int) -> EdgeColoring:
 
     Triangle i < j < k carries colors (i, i, j), so it is rainbow-free, and
     the sorted degree sequence is [1, 2, ..., n-2, n-1, n-1] for n >= 2.
+    Color u first shows at pair (u, u+1), so the colors are already
+    normalized.
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     colors = []
     for u in range(n):
         colors.extend([u] * (n - 1 - u))
-    return normalize_colors(EdgeColoring(n, tuple(colors)))
+    return EdgeColoring(n, tuple(colors))
 
 
 def uniform_coloring(d: int) -> EdgeColoring:
@@ -161,6 +163,8 @@ def uniform_coloring(d: int) -> EdgeColoring:
     edges of any triangle, the two xor values with the larger top bit
     agree on it, so no triangle is rainbow.  This meets the floor(log2 n)
     minimum-degree bound with equality, and its first suffix slack is 0.
+    Bit b first shows at pair (0, 2^b), so the colors are already
+    normalized.
 
     Memory grows as 4^d, so the hard guard is d <= 12 (8.4 million edges).
     """
@@ -173,4 +177,4 @@ def uniform_coloring(d: int) -> EdgeColoring:
     for u in range(n):
         for v in range(u + 1, n):
             colors.append((u ^ v).bit_length() - 1)
-    return normalize_colors(EdgeColoring(n, tuple(colors)))
+    return EdgeColoring(n, tuple(colors))

@@ -11,8 +11,10 @@ The first non-comment line declares the vertex count; then exactly
 n(n-1)/2 ``edge u v color`` records follow, one per unordered pair with
 0 <= u < v < n and a nonnegative color.  Writers emit pairs in
 lexicographic order; parsers accept any order but demand exact coverage.
-Lines starting with ``#`` and blank lines are ignored on input and never
-emitted, so rendering is byte-stable.
+Lines end at ``\n`` only; the ``\r`` of a CRLF line end is stripped as
+whitespace.  Every line but a ``#`` comment must be ASCII.  Lines starting
+with ``#`` and blank lines are ignored on input and never emitted, so
+rendering is byte-stable.
 """
 
 from __future__ import annotations
@@ -64,16 +66,18 @@ def parse_document(text: str) -> EdgeColoring:
     fewer lines than pairs cannot be complete; its slots are kept sparse so
     that memory follows the length of the text, not the declared n.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
     n: int | None = None
     expected = seen = 0
     slots: list[int] | defaultdict[int, int] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
-        if not line.isascii():
+        if not raw.isascii():
             raise DocumentError(f"line {lineno}: expected ASCII text, got {clip(raw)}")
+        if not line:
+            continue
         fields = line.split()
         if n is None:
             if len(fields) != 2 or fields[0] != "n":

@@ -13,6 +13,9 @@ scaled by 2^(d_n - d_{k-1}) so both sides are plain integers:
 
 has the same sign as the dyadic expression, and the sequence is feasible
 iff every slack is nonnegative.  No floating point is used anywhere.
+
+The slacks are built in one pass from the right, k = n down to 1, with a
+running suffix sum, so no table of suffix sums is held.
 """
 
 from __future__ import annotations
@@ -75,17 +78,14 @@ def check_sequence(values: Sequence[int]) -> FeasibilityReport:
     seq = validate_sequence(values)
     n = len(seq)
     top = seq[-1]
-    # suffix[k-1] = sum over i >= k of 2^(top - d_i), exact integers
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + (1 << (top - seq[i]))
-    slacks = []
+    slacks = [0] * n
     first_violation = None
-    for k in range(1, n + 1):
+    suffix = 0  # sum over i >= k of 2^(top - d_i), exact integers
+    for k in range(n, 0, -1):
+        suffix += 1 << (top - seq[k - 1])
         prev = seq[k - 2] if k >= 2 else 0
-        slack = suffix[k - 1] - (1 << (top - prev))
-        slacks.append(slack)
-        if slack < 0 and first_violation is None:
+        slack = slacks[k - 1] = suffix - (1 << (top - prev))
+        if slack < 0:
             first_violation = k
     return FeasibilityReport(
         values=seq,

@@ -156,11 +156,6 @@ def enumerate_gallai(n: int) -> Iterator[EdgeColoring]:
     return (EdgeColoring(n, tuple(colors)) for colors, _ in _walk(n))
 
 
-def realizable_sequences(n: int) -> set[tuple[int, ...]]:
-    """Sorted color degree sequences over all Gallai colorings of K_n."""
-    return set(enumeration_stats(n).sequences)
-
-
 def enumeration_stats(n: int) -> EnumerationStats:
     """Count the enumeration and collect its degree sequences in one sweep."""
     count = 0
@@ -186,7 +181,7 @@ def crosscheck(n: int) -> CrosscheckResult:
     The two sets agree for every n (this is the characterization); the
     result carries both sets so a disagreement can be inspected.
     """
-    realizable = frozenset(realizable_sequences(n))
+    realizable = enumeration_stats(n).sequences
     feasible = frozenset(
         seq for seq in candidate_sequences(n) if check_sequence(seq).feasible
     )

@@ -15,7 +15,6 @@ from gallai import (
     check_sequence,
     color_degrees,
     compress_component,
-    compression_degree_bounds,
     crosscheck,
     duplicate_vertex,
     find_disconnected_color,
@@ -30,6 +29,7 @@ from gallai import (
 )
 from gallai.cli import main
 from gallai.oracle import brute_force_gallai_partition, candidate_sequences
+from gallai.structure import compression_degree_bounds
 
 
 def feasible_sequences(n):

@@ -198,6 +198,19 @@ class TestVerify:
         assert err.startswith("error: line 2: ")
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "text", ["n 2\u00a0\nedge 0 1 0\n", "n 2\nedge 0 1 0\u2003\n", "n 2\u2028edge 0 1 0\n"],
+        ids=["trailing-nbsp", "trailing-em-space", "line-separator"],
+    )
+    def test_non_ascii_whitespace_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.doc"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "expected ASCII text, got " in err
+        assert len(err) < 200
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.doc"))
         assert code == 2
@@ -296,12 +309,13 @@ class TestModuleEntry:
     def test_python_dash_m(self):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gallai", "check", "1,1"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0
-        assert "verdict: feasible" in proc.stdout
+        for module in ("gallai", "gallai.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "check", "1,1"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, module
+            assert "verdict: feasible" in proc.stdout, module
 
 
 class TestHarness:

@@ -20,12 +20,12 @@ from gallai import (
     color_degrees,
     duplicate_vertex,
     is_gallai,
-    monochromatic_coloring,
     normalize_colors,
     realize,
     render_document,
     uniform_coloring,
 )
+from gallai.construct import monochromatic_coloring
 from gallai.oracle import candidate_sequences
 
 
@@ -364,3 +364,28 @@ class TestUniformColoring:
         for d in (13, 21):
             with pytest.raises(SizeGuardError):
                 uniform_coloring(d)
+
+
+class TestGeneratorOutput:
+    """The generators build their colors in first-appearance order, so they
+    return them without a normalization pass."""
+
+    # sha256 over render_document of chain_coloring(1..60), then
+    # uniform_coloring(0..6), taken while both still normalized their output
+    DIGEST = "76f9ea90766a60f00a9b8b6566e71359e969e848fff70e2e07f6b87f44200f32"
+
+    def test_already_normalized(self):
+        for n in range(1, 201):
+            c = chain_coloring(n)
+            assert normalize_colors(c) == c, n
+        for d in range(0, 9):
+            c = uniform_coloring(d)
+            assert normalize_colors(c) == c, d
+
+    def test_documents_digest(self):
+        h = hashlib.sha256()
+        for n in range(1, 61):
+            h.update(render_document(chain_coloring(n)).encode())
+        for d in range(0, 7):
+            h.update(render_document(uniform_coloring(d)).encode())
+        assert h.hexdigest() == self.DIGEST

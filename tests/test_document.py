@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from gallai import (
     DocumentError,
     EdgeColoring,
-    PALETTE,
     chain_coloring,
     parse_document,
-    pen_color,
     render_document,
     render_dot,
     uniform_coloring,
 )
+from gallai.document import PALETTE, pen_color
 
 
 @st.composite
@@ -114,6 +113,29 @@ class TestParse:
             assert message.endswith(f"expected an integer, got {token!r}")
         else:
             assert "expected ASCII text, got " in message
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("n 2\u00a0\nedge 0 1 0\n", 1),
+            ("n 2\nedge 0 1 0\u2003\n", 2),
+            ("n 2\u2028edge 0 1 0", 1),
+            ("n 2\nedge 0 1 0\u0085", 2),
+            ("n 2\n\u00a0\nedge 0 1 0\n", 2),
+        ],
+        ids=["trailing-nbsp", "trailing-em-space", "line-separator", "next-line", "nbsp-only-line"],
+    )
+    def test_non_ascii_whitespace_rejected(self, text, lineno):
+        # lines end at "\n" only, and the raw line must be ASCII, so neither
+        # strip() nor a Unicode line break hides a non-ASCII character
+        with pytest.raises(DocumentError, match=rf"^line {lineno}: expected ASCII text, got "):
+            parse_document(text)
+
+    def test_crlf_line_ends(self):
+        assert parse_document("n 2\r\nedge 0 1 0\r\n") == EdgeColoring(2, (0,))
+        # a bare "\r" ends no line
+        with pytest.raises(DocumentError, match=r"^line 1: expected 'n <count>'"):
+            parse_document("n 2\redge 0 1 0\r")
 
     def test_mixed_bad_tokens_fail_at_the_first(self):
         with pytest.raises(DocumentError, match=r"^line 1: expected an integer, got '\+2'$"):

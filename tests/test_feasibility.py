@@ -1,5 +1,7 @@
-"""Exact feasibility test, cross-checked against rational arithmetic."""
+"""Exact feasibility test, cross-checked against rational arithmetic and
+against the two-loop construction with a table of suffix sums."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,15 +9,43 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gallai import (
+    FeasibilityReport,
     MalformedSequenceError,
     check_sequence,
     min_degree_upper_bound,
     validate_sequence,
 )
+from test_construct import duplication_sequence
 
 nondecreasing = st.lists(st.integers(1, 40), min_size=1, max_size=12).map(
     lambda xs: tuple(sorted(xs))
 )
+
+
+def naive_check_sequence(values):
+    """Reference for ``check_sequence``: stores all n suffix sums first, then
+    subtracts the k-th bound from each in a second loop."""
+    seq = validate_sequence(values)
+    n = len(seq)
+    top = seq[-1]
+    # suffix[k-1] = sum over i >= k of 2^(top - d_i), exact integers
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + (1 << (top - seq[i]))
+    slacks = []
+    first_violation = None
+    for k in range(1, n + 1):
+        prev = seq[k - 2] if k >= 2 else 0
+        slack = suffix[k - 1] - (1 << (top - prev))
+        slacks.append(slack)
+        if slack < 0 and first_violation is None:
+            first_violation = k
+    return FeasibilityReport(
+        values=seq,
+        slacks=tuple(slacks),
+        feasible=first_violation is None,
+        first_violation=first_violation,
+    )
 
 
 class TestValidate:
@@ -103,6 +133,16 @@ class TestCheckSequence:
                 first = k
         assert report.first_violation == first
         assert report.feasible == (first is None)
+
+    @given(nondecreasing)
+    def test_matches_two_loop_reference(self, seq):
+        assert check_sequence(seq) == naive_check_sequence(seq)
+
+    def test_long_sequences_match_two_loop_reference(self):
+        chain = list(range(1, 50_000)) + [49_999]
+        duplication = duplication_sequence(100_000, random.Random(7))
+        for seq in (chain, duplication):
+            assert check_sequence(seq) == naive_check_sequence(seq)
 
     @given(nondecreasing)
     def test_repeated_value_slack_never_negative(self, seq):

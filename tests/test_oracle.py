@@ -21,19 +21,17 @@ from gallai import (
     NotGallaiError,
     SizeGuardError,
     brute_force_gallai_partition,
-    candidate_sequences,
     check_sequence,
     color_degrees,
     crosscheck,
     enumerate_gallai,
     enumeration_stats,
     is_gallai,
-    monochromatic_coloring,
     normalize_colors,
-    realizable_sequences,
     uniform_coloring,
 )
-from gallai.oracle import EnumerationStats, _partitions_by_block_count
+from gallai.construct import monochromatic_coloring
+from gallai.oracle import EnumerationStats, _partitions_by_block_count, candidate_sequences
 
 GALLAI_COUNTS = {1: 1, 2: 1, 3: 4, 4: 47, 5: 1127}
 SIX_VERTEX_COUNT = 44300
@@ -146,8 +144,8 @@ class TestEnumerationStats:
 
 class TestRealizableSequences:
     def test_frozen_small_sets(self):
-        assert realizable_sequences(3) == {(1, 1, 1), (1, 2, 2)}
-        assert realizable_sequences(4) == {
+        assert enumeration_stats(3).sequences == {(1, 1, 1), (1, 2, 2)}
+        assert enumeration_stats(4).sequences == {
             (1, 1, 1, 1),
             (1, 1, 2, 2),
             (1, 2, 2, 2),
@@ -156,10 +154,10 @@ class TestRealizableSequences:
         }
 
     def test_five_vertices_count(self):
-        assert len(realizable_sequences(5)) == 11
+        assert len(enumeration_stats(5).sequences) == 11
 
     def test_known_exclusion(self):
-        assert (1, 1, 3, 3) not in realizable_sequences(4)
+        assert (1, 1, 3, 3) not in enumeration_stats(4).sequences
 
 
 class TestCandidates:

@@ -18,15 +18,15 @@ from gallai import (
     color_component_split,
     color_degrees,
     compress_component,
-    compression_degree_bounds,
     duplicate_vertex,
     find_disconnected_color,
     is_gallai,
-    monochromatic_coloring,
     prefix_color_bound_report,
     recover_chain_order,
     uniform_coloring,
 )
+from gallai.construct import monochromatic_coloring
+from gallai.structure import compression_degree_bounds
 from test_coloring import few_color_colorings, recolored
 
 RAINBOW_K3 = EdgeColoring(3, (0, 1, 2))
