@@ -20,7 +20,7 @@ from .coloring import (
     normalize_colors,
 )
 from .construct import (
-    UNIFORM_SIZE_LIMIT,
+    MAX_VERTICES,
     DuplicationChoice,
     chain_coloring,
     duplicate_vertex,

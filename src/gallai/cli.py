@@ -22,14 +22,19 @@ from .feasibility import FeasibilityReport, check_sequence
 from .oracle import brute_force_gallai_partition, crosscheck
 
 
-def _printer(quiet: bool) -> Callable[[str], None]:
-    if quiet:
-        return lambda line: None
-    return print
+# Longest error message printed whole.  Every error passes through _fail
+# or _Parser.error, so stderr stays short whatever the input's length.
+MESSAGE_CHARS = 200
+
+
+def _bounded(message: str) -> str:
+    if len(message) <= MESSAGE_CHARS:
+        return message
+    return f"{message[:MESSAGE_CHARS]}... ({len(message)} characters)"
 
 
 def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+    print(f"error: {_bounded(message)}", file=sys.stderr)
 
 
 def _fmt_values(values) -> str:
@@ -48,7 +53,16 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
     raise MalformedSequenceError(f"not a comma-separated integer list: {clip(text)}")
 
 
-def _slack_lines(report: FeasibilityReport) -> list[str]:
+def _parse_count(text: str) -> int:
+    """argparse type for a single number, read like one ``check`` entry."""
+    try:
+        (value,) = _parse_sequence(text)
+    except ValueError:  # malformed, or more than one entry
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return value
+
+
+def _report_lines(report: FeasibilityReport) -> list[str]:
     header = ("k", "d_k", "slack")
     rows = [
         (str(k), str(report.values[k - 1]), str(report.slacks[k - 1]))
@@ -58,17 +72,14 @@ def _slack_lines(report: FeasibilityReport) -> list[str]:
     lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
     for row in rows:
         lines.append("  ".join(f.rjust(w) for f, w in zip(row, widths)))
-    return lines
-
-
-def _verdict_line(report: FeasibilityReport) -> str:
-    if report.feasible:
-        return "verdict: feasible"
-    return f"verdict: infeasible (first violation at k={report.first_violation})"
+    verdict = "feasible" if report.feasible else f"infeasible (first violation at k={report.first_violation})"
+    return lines + [f"verdict: {verdict}"]
 
 
 def _read_coloring(path: str) -> EdgeColoring:
-    return parse_document(Path(path).read_text())
+    # newline="" keeps a bare "\r", which parse_document rejects, as it is
+    with open(path, newline="") as f:
+        return parse_document(f.read())
 
 
 def _deliver(coloring: EdgeColoring, args, out: Callable[[str], None]) -> None:
@@ -91,24 +102,20 @@ def _emit_degrees(sorted_degrees: Sequence[int], args, out: Callable[[str], None
     out(prefix + "degrees: " + _fmt_values(sorted_degrees))
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, out: Callable[[str], None]) -> int:
     report = check_sequence(_parse_sequence(args.sequence))
-    out = _printer(args.quiet)
-    for line in _slack_lines(report):
+    for line in _report_lines(report):
         out(line)
-    out(_verdict_line(report))
     return 0 if report.feasible else 1
 
 
-def cmd_construct(args) -> int:
-    out = _printer(args.quiet)
+def cmd_construct(args, out: Callable[[str], None]) -> int:
     values = _parse_sequence(args.sequence)
     try:
         coloring = realize(values)
     except InfeasibleSequenceError as exc:
-        for line in _slack_lines(exc.report):
+        for line in _report_lines(exc.report):
             out(line)
-        out(_verdict_line(exc.report))
         _fail(str(exc))
         return 1
     # realize accepted values as nondecreasing and matches them as its
@@ -118,9 +125,8 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out: Callable[[str], None]) -> int:
     coloring = _read_coloring(args.input)
-    out = _printer(args.quiet)
     degrees = color_degrees(coloring)
     out(f"vertices: {coloring.n}")
     out(f"colors: {len(coloring.color_set())}")
@@ -147,8 +153,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
-    out = _printer(args.quiet)
+def cmd_generate(args, out: Callable[[str], None]) -> int:
     if args.kind == "chain":
         coloring = chain_coloring(args.size)
     else:
@@ -158,10 +163,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_crosscheck(args) -> int:
+def cmd_crosscheck(args, out: Callable[[str], None]) -> int:
     n = args.n
     result = crosscheck(n)
-    out = _printer(args.quiet)
     out(f"n={n}: {len(result.realizable)} realizable, {len(result.feasible)} feasible")
     if result.equal:
         out("sets match")
@@ -173,9 +177,8 @@ def cmd_crosscheck(args) -> int:
     return 1
 
 
-def cmd_partition(args) -> int:
+def cmd_partition(args, out: Callable[[str], None]) -> int:
     coloring = _read_coloring(args.input)
-    out = _printer(args.quiet)
     try:
         partition = brute_force_gallai_partition(coloring)
     except NotGallaiError as exc:
@@ -195,8 +198,13 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dot", metavar="PATH", help="also write a DOT export for graph viewers")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # usage errors echo the argument
+        super().error(_bounded(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gallai",
         description="Decide, realize, and inspect color degree sequences of rainbow-triangle-free colorings.",
     )
@@ -220,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("generate", cmd_generate, "emit a named family member")
     p.add_argument("kind", choices=("chain", "uniform"))
-    p.add_argument("size", type=int, help="vertex count for chain, bit count for uniform")
+    p.add_argument("size", type=_parse_count, help="vertex count for chain, bit count for uniform")
     _add_output_flags(p)
 
     p = sub("crosscheck", cmd_crosscheck, "compare enumerated degree sequences against the feasibility test")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_parse_count)
     p.add_argument("--allow-large", action="store_true", help="accepted and ignored: every n the enumeration supports runs without it")
 
     p = sub("partition", cmd_partition, "find a Gallai partition of a coloring document")
@@ -239,8 +247,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    out = (lambda line: None) if args.quiet else print
     try:
-        return args.func(args)
+        return args.func(args, out)
     except (ValueError, OSError) as exc:  # malformed input, size guards, unreadable files
         _fail(str(exc))
         return 2

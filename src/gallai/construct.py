@@ -30,8 +30,9 @@ from .coloring import EdgeColoring, color_degrees, normalize_colors  # noqa: F40
 from .errors import InfeasibleSequenceError, InternalConsistencyError, SizeGuardError, preview
 from .feasibility import check_sequence
 
-# Memory grows as 4^d: d = 12 is 8.4 million edge colors, d = 13 four times that.
-UNIFORM_SIZE_LIMIT = 12
+# Most vertices of a coloring built from a number: K_4096 has 8,386,560
+# edges, what uniform_coloring(12) builds; memory grows as n^2.
+MAX_VERTICES = 4096
 
 
 class DuplicationChoice(enum.Enum):
@@ -92,7 +93,8 @@ def realize(values: Sequence[int]) -> EdgeColoring:
     """Produce a normalized Gallai coloring whose sorted color degrees equal
     the given feasible sequence.
 
-    Raises InfeasibleSequenceError (carrying the slack report) otherwise.
+    Raises InfeasibleSequenceError (carrying the slack report) otherwise,
+    and SizeGuardError for a feasible sequence longer than MAX_VERTICES.
     The construction is deterministic; no promise is made about which of
     the many realizations it returns beyond degree-sequence correctness.
     Time and memory are O(n^2).
@@ -100,6 +102,8 @@ def realize(values: Sequence[int]) -> EdgeColoring:
     report = check_sequence(values)
     if not report.feasible:
         raise InfeasibleSequenceError(report)
+    if report.n > MAX_VERTICES:
+        raise SizeGuardError(f"n={report.n} exceeds the vertex limit {MAX_VERTICES}")
     seq = list(report.values)
     # Schedule: (degree of the vertex to clone, bridge choice), oldest first.
     steps: list[tuple[int, DuplicationChoice]] = []
@@ -145,10 +149,12 @@ def chain_coloring(n: int) -> EdgeColoring:
     Triangle i < j < k carries colors (i, i, j), so it is rainbow-free, and
     the sorted degree sequence is [1, 2, ..., n-2, n-1, n-1] for n >= 2.
     Color u first shows at pair (u, u+1), so the colors are already
-    normalized.
+    normalized.  n is at most MAX_VERTICES.
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise SizeGuardError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
     colors = []
     for u in range(n):
         colors.extend([u] * (n - 1 - u))
@@ -166,12 +172,13 @@ def uniform_coloring(d: int) -> EdgeColoring:
     Bit b first shows at pair (0, 2^b), so the colors are already
     normalized.
 
-    Memory grows as 4^d, so the hard guard is d <= 12 (8.4 million edges).
+    The vertex limit MAX_VERTICES = 2^12 caps d at 12 (8.4 million edges).
     """
+    limit = MAX_VERTICES.bit_length() - 1
     if d < 0:
         raise ValueError(f"bit count must be >= 0, got {d}")
-    if d > UNIFORM_SIZE_LIMIT:
-        raise SizeGuardError(f"bit count {d} exceeds limit {UNIFORM_SIZE_LIMIT}")
+    if d > limit:
+        raise SizeGuardError(f"bit count {d} exceeds limit {limit}")
     n = 1 << d
     colors = []
     for u in range(n):

@@ -196,12 +196,11 @@ def _partitions_by_block_count(n: int) -> Iterator[list[list[int]]]:
     labels = [0] * n
 
     def assign(i: int, top: int, k: int) -> Iterator[list[list[int]]]:
-        if i == n:
-            if top == k - 1:
-                parts: list[list[int]] = [[] for _ in range(k)]
-                for v, a in enumerate(labels):
-                    parts[a].append(v)
-                yield parts
+        if i == n:  # the pruning below leaves top == k - 1 at every leaf
+            parts: list[list[int]] = [[] for _ in range(k)]
+            for v, a in enumerate(labels):
+                parts[a].append(v)
+            yield parts
             return
         # a fresh label is only allowed while k labels remain reachable
         for a in range(min(top + 1, k - 1) + 1):
@@ -234,22 +233,16 @@ def brute_force_gallai_partition(coloring: EdgeColoring) -> GallaiPartition:
     for parts in _partitions_by_block_count(n):
         cross_colors: set[int] = set()
         part_pair_color: dict[tuple[int, int], int] = {}
-        ok = True
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                joining = {rows[u][v] for u in parts[i] for v in parts[j]}
-                if len(joining) != 1:
-                    ok = False
-                    break
-                color = joining.pop()
-                part_pair_color[(i, j)] = color
-                cross_colors.add(color)
-                if len(cross_colors) > 2:
-                    ok = False
-                    break
-            if not ok:
+        for i, j in itertools.combinations(range(len(parts)), 2):
+            joining = {rows[u][v] for u in parts[i] for v in parts[j]}
+            if len(joining) != 1:
                 break
-        if ok:
+            color = joining.pop()
+            part_pair_color[(i, j)] = color
+            cross_colors.add(color)
+            if len(cross_colors) > 2:
+                break
+        else:
             return GallaiPartition(
                 parts=tuple(tuple(p) for p in parts),
                 cross_colors=frozenset(cross_colors),

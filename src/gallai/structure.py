@@ -117,9 +117,8 @@ def compress_component(
     if not 0 <= which < len(split.components):
         raise ValueError(f"component index {which} out of range")
     merged = set(split.components[which])
+    # never empty: the split was checked above, and _split returns >= 2 parts
     outside = [v for v in range(coloring.n) if v not in merged]
-    if not outside:
-        raise ValueError("component must be a proper subset of the vertices")
 
     reduced_rows = []
     outside_colors = []
@@ -173,9 +172,10 @@ def recover_chain_order(coloring: EdgeColoring) -> ChainOrder:
     The apex (chosen as the highest-indexed vertex of color degree n-1)
     sees distinct colors toward all others, so each remaining edge {i, j}
     must reuse the apex color of i or of j; orienting i -> j in the first
-    case yields a tournament without directed triangles.  Sorting by win
-    count recovers the row; its color degrees are verified to be exactly
-    1, 2, ..., n-1 before returning.
+    case yields a tournament without directed triangles.  A row vertex
+    sees one color on the apex edge and its out-edges, and a distinct one
+    per in-edge, so its color degree is 1 plus its in-degree: the row is
+    the degree order (ties by index), and position p has degree p.
     """
     n = coloring.n
     if n < 2:
@@ -189,22 +189,16 @@ def recover_chain_order(coloring: EdgeColoring) -> ChainOrder:
     rest = [v for v in range(n) if v != apex]
 
     apex_row = rows[apex]
-    wins = {v: 0 for v in rest}
     for idx, i in enumerate(rest):
         row_i = rows[i]
         for j in rest[idx + 1 :]:
-            c = row_i[j]
-            if c == apex_row[i]:
-                wins[i] += 1
-            elif c == apex_row[j]:
-                wins[j] += 1
-            else:
+            if row_i[j] != apex_row[i] and row_i[j] != apex_row[j]:
                 raise InternalConsistencyError(
                     f"edge ({i}, {j}) matches neither apex color; "
                     "rainbow triangle with the apex"
                 )
 
-    order = tuple(sorted(rest, key=lambda v: (-wins[v], v)))
+    order = tuple(sorted(rest, key=lambda v: (degrees[v], v)))
     # apex colors are pairwise distinct, so i -> j exactly when the edge
     # reuses the apex color of i
     for idx, i in enumerate(order):
@@ -212,11 +206,6 @@ def recover_chain_order(coloring: EdgeColoring) -> ChainOrder:
         for j in order[idx + 1 :]:
             if row_i[j] != own:
                 raise InternalConsistencyError("tournament is not transitive")
-    for pos, v in enumerate(order, start=1):
-        if degrees[v] != pos:
-            raise InternalConsistencyError(
-                f"row vertex {v} has degree {degrees[v]}, expected {pos}"
-            )
     return ChainOrder(apex=apex, order=order)
 
 

@@ -152,6 +152,27 @@ class TestBoundedMessages:
         assert len(err) < 200
         assert "(10000 characters)" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "a" * 10**5),
+            ("construct", "1,1", "-o", "b" * 60000),
+            ("generate", "chain", "x" * 5000),
+            ("y" * 5000,),
+        ],
+        ids=["verify-long-path", "construct-long-output-path", "generate-long-size", "long-subcommand"],
+    )
+    def test_long_argument_is_clipped(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert len(err.encode()) < 500
+        assert "characters)\n" in err
+
+    def test_short_usage_error_is_unchanged(self, capsys):
+        code, _, err = run(capsys, "generate", "chain", "x")
+        assert code == 2
+        assert err.endswith("gallai generate: error: argument size: invalid int value: 'x'\n")
+
     def test_short_input_is_echoed_whole(self, capsys):
         _, _, err = run(capsys, "construct", "1,1,3,3")
         assert err == "error: sequence [1, 1, 3, 3] is infeasible (first violation at k=3)\n"
@@ -211,6 +232,21 @@ class TestVerify:
         assert "expected ASCII text, got " in err
         assert len(err) < 200
 
+    @pytest.mark.parametrize("command", ["verify", "partition"])
+    def test_bare_carriage_return_is_read_as_the_library_reads_it(self, capsys, tmp_path, command):
+        path = tmp_path / "cr.doc"
+        path.write_bytes(b"n 2\redge 0 1 0\r")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: expected 'n <count>', got 'n 2\\redge 0 1 0\\r'\n"
+
+    def test_crlf_line_ends(self, capsys, tmp_path):
+        path = tmp_path / "crlf.doc"
+        path.write_bytes(b"n 2\r\nedge 0 1 0\r\n")
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert "gallai: yes" in out
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.doc"))
         assert code == 2
@@ -241,6 +277,12 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "chain", "-3")
         assert code == 2
 
+    @pytest.mark.parametrize("size", ["\u0663", "+5", "1_0", "5.0", "3,3"])
+    def test_size_is_a_plain_ascii_decimal(self, capsys, size):
+        code, out, err = run(capsys, "generate", "chain", size)
+        assert (code, out) == (2, "")
+        assert f"argument size: invalid int value: {size!r}" in err
+
     def test_unknown_kind(self, capsys):
         code, _, _ = run(capsys, "generate", "ladder", "3")
         assert code == 2
@@ -270,6 +312,40 @@ class TestCrosscheck:
     def test_zero_rejected(self, capsys):
         code, _, _ = run(capsys, "crosscheck", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["\u0663", "+3", "0_3"])
+    def test_n_is_a_plain_ascii_decimal(self, capsys, n):
+        code, out, err = run(capsys, "crosscheck", n)
+        assert (code, out) == (2, "")
+        assert f"argument n: invalid int value: {n!r}" in err
+
+
+class TestVertexLimit:
+    """Colorings built from a number stop at MAX_VERTICES before allocating."""
+
+    def test_generate_chain_under_an_address_space_limit(self):
+        # the limit applies to the child only; unguarded, the run would
+        # need 2 * 10^10 edge colors
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        limited = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
+            "from gallai.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, "generate", "chain", "200000"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: n=200000 exceeds the vertex limit 4096\n"
+
+    def test_construct_past_the_limit(self, capsys):
+        sequence = ",".join(map(str, list(range(1, 10**4)) + [10**4 - 1]))
+        code, out, err = run(capsys, "construct", sequence)
+        assert (code, out) == (2, "")
+        assert err == "error: n=10000 exceeds the vertex limit 4096\n"
 
 
 class TestPartition:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gallai import (
+    MAX_VERTICES,
     DuplicationChoice,
     EdgeColoring,
     InfeasibleSequenceError,
@@ -362,8 +363,24 @@ class TestUniformColoring:
 
     def test_size_guard(self):
         for d in (13, 21):
-            with pytest.raises(SizeGuardError):
+            with pytest.raises(SizeGuardError, match=rf"^bit count {d} exceeds limit 12$"):
                 uniform_coloring(d)
+
+
+class TestVertexLimit:
+    """Colorings built from a number stop at MAX_VERTICES = 2^12 vertices."""
+
+    def test_chain_coloring(self):
+        with pytest.raises(SizeGuardError, match=r"^n=4097 exceeds the vertex limit 4096$"):
+            chain_coloring(MAX_VERTICES + 1)
+
+    def test_realize_after_the_verdict(self):
+        chain = list(range(1, MAX_VERTICES + 1)) + [MAX_VERTICES]
+        with pytest.raises(SizeGuardError, match=r"^n=4097 exceeds the vertex limit 4096$"):
+            realize(chain)
+        # past the limit an infeasible sequence still gets its report
+        with pytest.raises(InfeasibleSequenceError):
+            realize([1] * MAX_VERTICES + [3])
 
 
 class TestGeneratorOutput:

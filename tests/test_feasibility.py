@@ -22,6 +22,18 @@ nondecreasing = st.lists(st.integers(1, 40), min_size=1, max_size=12).map(
 )
 
 
+def rational_slacks(seq):
+    """Oracle: the k-th suffix inequality's slack in exact rationals,
+    sum over i >= k of 2^(d_{k-1} - d_i), less 1 (d_0 = 0)."""
+    n = len(seq)
+    slacks = []
+    for k in range(1, n + 1):
+        prev = seq[k - 2] if k >= 2 else 0
+        lhs = sum(Fraction(1, 2 ** (seq[i - 1] - prev)) for i in range(k, n + 1))
+        slacks.append(lhs - 1)
+    return slacks
+
+
 def naive_check_sequence(values):
     """Reference for ``check_sequence``: stores all n suffix sums first, then
     subtracts the k-th bound from each in a second loop."""
@@ -119,12 +131,8 @@ class TestCheckSequence:
     @given(nondecreasing)
     def test_matches_rational_oracle(self, seq):
         report = check_sequence(seq)
-        n = len(seq)
         first = None
-        for k in range(1, n + 1):
-            prev = seq[k - 2] if k >= 2 else 0
-            lhs = sum(Fraction(1, 2 ** (seq[i - 1] - prev)) for i in range(k, n + 1))
-            slack = lhs - 1
+        for k, slack in enumerate(rational_slacks(seq), start=1):
             exact = report.slacks[k - 1]
             assert (exact > 0) == (slack > 0)
             assert (exact == 0) == (slack == 0)

@@ -13,11 +13,15 @@ exactly that recount, ``naive_enumeration_stats``.
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
 from gallai import (
+    PARTITION_SIZE_LIMIT,
     EdgeColoring,
+    GallaiPartition,
+    InternalConsistencyError,
     NotGallaiError,
     SizeGuardError,
     brute_force_gallai_partition,
@@ -26,6 +30,7 @@ from gallai import (
     crosscheck,
     enumerate_gallai,
     enumeration_stats,
+    find_rainbow_triangle,
     is_gallai,
     normalize_colors,
     uniform_coloring,
@@ -74,6 +79,65 @@ def naive_enumeration_stats(n):
         count += 1
         sequences.add(tuple(sorted(color_degrees(c))))
     return EnumerationStats(n=n, count=count, sequences=frozenset(sequences))
+
+
+def naive_partitions(n):
+    """Every partition of range(n) into two or more parts, by part count and
+    then by restricted-growth string: all strings built unpruned, then
+    sorted."""
+    strings = [[0]]
+    for _ in range(1, n):
+        strings = [s + [a] for s in strings for a in range(max(s) + 2)]
+    for s in sorted(strings, key=lambda s: (max(s), s)):
+        if max(s) > 0:
+            yield [[v for v in range(n) if s[v] == a] for a in range(max(s) + 1)]
+
+
+def naive_gallai_partition(coloring):
+    """Reference for ``brute_force_gallai_partition``: a flag and a double
+    break over the part pairs of each ``naive_partitions`` candidate."""
+    n = coloring.n
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    if n > PARTITION_SIZE_LIMIT:
+        raise SizeGuardError(f"n={n} exceeds the partition limit {PARTITION_SIZE_LIMIT}")
+    witness = find_rainbow_triangle(coloring)
+    if witness is not None:
+        raise NotGallaiError(witness)
+    rows = coloring.rows()
+    for parts in naive_partitions(n):
+        cross_colors = set()
+        part_pair_color = {}
+        ok = True
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                joining = {rows[u][v] for u in parts[i] for v in parts[j]}
+                if len(joining) != 1:
+                    ok = False
+                    break
+                color = joining.pop()
+                part_pair_color[(i, j)] = color
+                cross_colors.add(color)
+                if len(cross_colors) > 2:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return GallaiPartition(
+                parts=tuple(tuple(p) for p in parts),
+                cross_colors=frozenset(cross_colors),
+                part_pair_color=part_pair_color,
+            )
+    raise InternalConsistencyError("no valid partition found for a rainbow-free coloring")
+
+
+def partition_outcome(function, coloring):
+    """The partition found, or the type and message of what was raised."""
+    try:
+        return function(coloring)
+    except (ValueError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
 
 
 class TestEnumerate:
@@ -211,6 +275,10 @@ class TestPartitionScan:
             [[0], [1], [2]],
         ]
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_unpruned_sort(self, n):
+        assert list(_partitions_by_block_count(n)) == list(naive_partitions(n))
+
     def test_every_output_partitions_the_range(self):
         for parts in _partitions_by_block_count(5):
             flat = sorted(v for part in parts for v in part)
@@ -264,3 +332,24 @@ class TestGallaiPartition:
             for coloring in enumerated[n]:
                 h.update(repr(brute_force_gallai_partition(coloring)).encode())
         assert h.hexdigest() == PARTITION_DIGEST
+
+
+class TestGallaiPartitionMatchesOracle:
+    def test_enumerated(self, enumerated):
+        for n in range(1, 6):
+            for coloring in enumerated[n]:
+                assert partition_outcome(brute_force_gallai_partition, coloring) == partition_outcome(
+                    naive_gallai_partition, coloring
+                )
+
+    def test_seeded_few_color_colorings(self):
+        rng = random.Random(29)
+        found = 0
+        for _ in range(500):
+            n = rng.randint(2, 7)
+            k = rng.randint(1, 3)
+            coloring = EdgeColoring(n, tuple(rng.randrange(k) for _ in range(n * (n - 1) // 2)))
+            expected = partition_outcome(naive_gallai_partition, coloring)
+            assert partition_outcome(brute_force_gallai_partition, coloring) == expected
+            found += isinstance(expected, GallaiPartition)
+        assert 0 < found < 500

@@ -27,7 +27,7 @@ from gallai import (
 )
 from gallai.construct import monochromatic_coloring
 from gallai.structure import compression_degree_bounds
-from test_coloring import few_color_colorings, recolored
+from test_coloring import colorings, few_color_colorings, recolored
 
 RAINBOW_K3 = EdgeColoring(3, (0, 1, 2))
 
@@ -45,6 +45,54 @@ def naive_prefix_color_bound_report(coloring):
             if len(back_colors) > bound:
                 return (False, (k, i))
     return (True, None)
+
+
+def naive_recover_chain_order(coloring):
+    """Reference for ``recover_chain_order``: sorts the row by win count and
+    checks the row degrees 1, 2, ..., n-1 before returning."""
+    n = coloring.n
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    rows = coloring.rows()
+    degrees = color_degrees(coloring)
+    apexes = [v for v in range(n) if degrees[v] == n - 1]
+    if not apexes:
+        raise ValueError(f"no vertex of color degree {n - 1}")
+    apex = max(apexes)
+    rest = [v for v in range(n) if v != apex]
+    apex_row = rows[apex]
+    wins = {v: 0 for v in rest}
+    for idx, i in enumerate(rest):
+        for j in rest[idx + 1 :]:
+            c = rows[i][j]
+            if c == apex_row[i]:
+                wins[i] += 1
+            elif c == apex_row[j]:
+                wins[j] += 1
+            else:
+                raise InternalConsistencyError(
+                    f"edge ({i}, {j}) matches neither apex color; "
+                    "rainbow triangle with the apex"
+                )
+    order = tuple(sorted(rest, key=lambda v: (-wins[v], v)))
+    for idx, i in enumerate(order):
+        for j in order[idx + 1 :]:
+            if rows[i][j] != apex_row[i]:
+                raise InternalConsistencyError("tournament is not transitive")
+    for pos, v in enumerate(order, start=1):
+        if degrees[v] != pos:
+            raise InternalConsistencyError(
+                f"row vertex {v} has degree {degrees[v]}, expected {pos}"
+            )
+    return ChainOrder(apex=apex, order=order)
+
+
+def outcome(function, coloring):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return function(coloring)
+    except (ValueError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
 
 
 def relabelled(coloring, perm):
@@ -306,6 +354,36 @@ class TestRecoverChainOrderChecks:
         )
         with pytest.raises(InternalConsistencyError, match="^tournament is not transitive$"):
             recover_chain_order(bad)
+
+
+class TestRecoverChainOrderMatchesOracle:
+    """The row is the degree order; the reference sorts by win count."""
+
+    def test_perturbed_relabelled_chains(self):
+        rng = random.Random(13)
+        kinds = set()
+        for _ in range(3000):
+            n = rng.randint(2, 9)
+            colors = list(relabelled(chain_coloring(n), rng.sample(range(n), n)).colors)
+            for _ in range(rng.randint(0, 3)):
+                colors[rng.randrange(len(colors))] = rng.randrange(n + 1)
+            coloring = EdgeColoring(n, tuple(colors))
+            expected = outcome(naive_recover_chain_order, coloring)
+            assert outcome(recover_chain_order, coloring) == expected
+            kinds.add(expected[1].split()[0] if isinstance(expected[0], type) else "order")
+        # every exit of the function is reached
+        assert kinds == {"order", "no", "edge", "tournament"}
+
+    @given(colorings(max_n=7))
+    def test_random_colorings(self, coloring):
+        assert outcome(recover_chain_order, coloring) == outcome(naive_recover_chain_order, coloring)
+
+    def test_every_enumerated_coloring(self, enumerated):
+        for n in range(1, 6):
+            for coloring in enumerated[n]:
+                assert outcome(recover_chain_order, coloring) == outcome(
+                    naive_recover_chain_order, coloring
+                )
 
 
 class TestPrefixColorBound:
