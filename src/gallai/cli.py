@@ -10,6 +10,7 @@ guard.  All informational output is byte-stable for identical inputs;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -128,10 +129,11 @@ def cmd_construct(args, out: Callable[[str], None]) -> int:
 def cmd_verify(args, out: Callable[[str], None]) -> int:
     coloring = _read_coloring(args.input)
     degrees = color_degrees(coloring)
+    sorted_degrees = sorted(degrees)
     out(f"vertices: {coloring.n}")
     out(f"colors: {len(coloring.color_set())}")
     out("degrees: " + _fmt_values(degrees))
-    out("sorted: " + _fmt_values(sorted(degrees)))
+    out("sorted: " + _fmt_values(sorted_degrees))
     witness = find_rainbow_triangle(coloring)
     if witness is not None:
         i, j, k = witness.vertices
@@ -140,7 +142,7 @@ def cmd_verify(args, out: Callable[[str], None]) -> int:
         out("gallai: no")
         return 1
     out("gallai: yes")
-    report = check_sequence(sorted(degrees))
+    report = check_sequence(sorted_degrees)
     if report.feasible:
         out("degree sequence: feasible")
     else:
@@ -203,6 +205,7 @@ class _Parser(argparse.ArgumentParser):
         super().error(_bounded(message))
 
 
+@functools.cache  # one parser per process: parsing leaves no state on it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gallai",
@@ -242,9 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     out = (lambda line: None) if args.quiet else print

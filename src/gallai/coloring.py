@@ -5,10 +5,10 @@ distinct vertices of K_n.  The color degree of a vertex is the number of
 distinct colors on its incident edges.  A coloring is *Gallai* when no
 triangle carries three pairwise-distinct colors (no rainbow triangle).
 
-The stored form of a coloring is the flat tuple of its upper triangle.
-Readers index the symmetric color matrix that ``rows()`` builds from it,
-and ``from_rows()`` reads such a matrix back into the flat tuple; these
-two are the only conversions between the layouts.
+The stored form of a coloring is the flat tuple of its upper triangle,
+which the rainbow scan reads one row slice at a time.  Per-vertex readers
+index the symmetric matrix that ``rows()`` builds, and ``from_rows()``
+reads it back; these two are the only conversions between the layouts.
 """
 
 from __future__ import annotations
@@ -121,35 +121,35 @@ def color_degrees(coloring: EdgeColoring) -> list[int]:
 def find_rainbow_triangle(coloring: EdgeColoring) -> RainbowWitness | None:
     """Lexicographically smallest rainbow triangle, or None if none exists.
 
-    One pass over the colors builds each vertex's row and, per vertex u and
-    color c, the bitmask M_c(u) of u's neighbors in color c.  For each pair
-    i < j in lexicographic order, with a = c(i, j), the third vertices k > j
-    that close a rainbow triangle are those outside M_a(i) | M_a(j) and
-    outside M_c(i) & M_c(j) for every color c the two share; the lowest such
-    k is the witness.  Cost: O(n^2) setup, then per pair at most
-    min(deg i, deg j) mask operations on n-bit integers.  The witness is the
-    same as a scan of all triples in lexicographic order would return.
+    One pass over the stored colors builds the bitmask M_c(u) of u's
+    neighbors v > u in color c.  For each pair i < j in lexicographic
+    order, with a = c(i, j) read from row i's slice, the vertices k > j
+    closing a rainbow triangle lie outside M_a(i) | M_a(j) and outside
+    M_c(i) & M_c(j) for every shared color c; the lowest is the witness a
+    scan of all triples in order finds.  Cost: O(n^2) setup, then per pair
+    at most min(deg i, deg j) operations on n-bit masks.
     """
     n = coloring.n
+    colors = coloring.colors
     bits = [1 << v for v in range(n)]
-    rows = coloring.rows()
     masks: list[dict[int, int]] = []
-    for row in rows:
+    start = 0
+    for u in range(n):
         own: dict[int, int] = {}
         get = own.get
-        for bit, c in zip(bits, row):
+        for bit, c in zip(bits[u + 1:], colors[start:start + n - u - 1]):
             own[c] = get(c, 0) | bit
-        del own[-1]
         masks.append(own)
-    full = (1 << n) - 1
-    above = [full ^ ((bit << 1) - 1) for bit in bits]
+        start += n - u - 1
+    above = [(1 << n) - (bit << 1) for bit in bits]  # the vertices past each one
+    start = 0
     for i in range(n - 2):
-        row_i, masks_i = rows[i], masks[i]
-        for j in range(i + 1, n - 1):
+        row_i, masks_i = colors[start:start + n - i - 1], masks[i]
+        start += n - i - 1
+        for j, a in zip(range(i + 1, n - 1), row_i):
             masks_j = masks[j]
-            a = row_i[j]
-            # masks_i[a] holds j and masks_j[a] holds i; above[j] keeps k > j
-            candidates = above[j] & ~(masks_i[a] | masks_j[a])
+            # masks_i[a] holds j; above[j] keeps k > j
+            candidates = above[j] & ~(masks_i[a] | masks_j.get(a, 0))
             if not candidates:
                 continue
             if len(masks_i) <= len(masks_j):
@@ -163,7 +163,7 @@ def find_rainbow_triangle(coloring: EdgeColoring) -> RainbowWitness | None:
                         break
             if candidates:
                 k = (candidates & -candidates).bit_length() - 1
-                return RainbowWitness((i, j, k), (a, row_i[k], rows[j][k]))
+                return RainbowWitness((i, j, k), (a, coloring.color(i, k), coloring.color(j, k)))
     return None
 
 

@@ -8,9 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from gallai import EdgeColoring, color_degrees, parse_document, render_document
+from gallai import CrosscheckResult, EdgeColoring, FeasibilityReport, color_degrees, parse_document, render_document
 from gallai.cli import main
 from test_construct import duplication_sequence
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the environment of a child interpreter that imports this checkout's package
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -247,6 +252,22 @@ class TestVerify:
         assert code == 0
         assert "gallai: yes" in out
 
+    def test_infeasible_sequence_of_a_gallai_coloring_is_reported(self, capsys, tmp_path, monkeypatch):
+        # unreachable while the theorem holds, so the check is stubbed
+        monkeypatch.setattr(
+            "gallai.cli.check_sequence",
+            lambda values: FeasibilityReport(tuple(values), (0,) * len(values), False, 2),
+        )
+        path = self.write(tmp_path, EdgeColoring(3, (0, 0, 1)))
+        code, out, err = run(capsys, "verify", path)
+        assert code == 0
+        assert out.endswith("gallai: yes\n")
+        assert "degree sequence: feasible" not in out
+        assert err == (
+            "theorem violation: Gallai coloring with infeasible degree sequence "
+            "(first violation at k=2)\n"
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.doc"))
         assert code == 2
@@ -319,6 +340,22 @@ class TestCrosscheck:
         assert (code, out) == (2, "")
         assert f"argument n: invalid int value: {n!r}" in err
 
+    def test_mismatch_lists_each_side_sorted(self, capsys, monkeypatch):
+        realizable = frozenset({(1, 1), (2, 2, 2), (1, 2, 2)})
+        feasible = frozenset({(1, 1), (2, 3, 3), (2, 2, 3), (1, 2, 2)})
+        monkeypatch.setattr(
+            "gallai.cli.crosscheck",
+            lambda n: CrosscheckResult(n=n, equal=False, realizable=realizable, feasible=feasible),
+        )
+        code, out, _ = run(capsys, "crosscheck", "3")
+        assert code == 1
+        assert out == (
+            "n=3: 3 realizable, 4 feasible\n"
+            "only realizable: 2, 2, 2\n"
+            "only feasible: 2, 2, 3\n"
+            "only feasible: 2, 3, 3\n"
+        )
+
 
 class TestVertexLimit:
     """Colorings built from a number stop at MAX_VERTICES before allocating."""
@@ -326,8 +363,6 @@ class TestVertexLimit:
     def test_generate_chain_under_an_address_space_limit(self):
         # the limit applies to the child only; unguarded, the run would
         # need 2 * 10^10 edge colors
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         limited = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
@@ -336,7 +371,7 @@ class TestVertexLimit:
         )
         proc = subprocess.run(
             [sys.executable, "-c", limited, "generate", "chain", "200000"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: n=200000 exceeds the vertex limit 4096\n"
@@ -383,15 +418,48 @@ class TestPartition:
 
 class TestModuleEntry:
     def test_python_dash_m(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         for module in ("gallai", "gallai.cli"):
             proc = subprocess.run(
                 [sys.executable, "-m", module, "check", "1,1"],
-                capture_output=True, text=True, env=env, timeout=60,
+                capture_output=True, text=True, env=CHILD_ENV, timeout=60,
             )
             assert proc.returncode == 0, module
             assert "verdict: feasible" in proc.stdout, module
+
+
+class TestSuccessiveCalls:
+    """``main`` keeps no state between calls: in a sequence of calls in one
+    process, each prints what the same command prints in a fresh one."""
+
+    @staticmethod
+    def alone(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gallai", *argv], capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            [["check", "--quiet", "1,2,2"], ["check", "1,2,2"]],
+            [["construct", "1,2,2", "-o", "{doc}"], ["construct", "1,2,2"]],
+            [["check", "--bogus", "1,2,2"], ["check", "1,2,2"]],
+            [["check", "1,two"], ["construct", "--quiet", "2,2,2,2", "-o", "{doc}"]],
+        ],
+        ids=["quiet-then-loud", "file-then-stdout", "usage-error-then-success", "bad-number-then-file"],
+    )
+    def test_each_call_prints_what_it_prints_alone(self, capsys, tmp_path, calls):
+        doc = tmp_path / "out.doc"
+        calls = [[arg.format(doc=doc) for arg in argv] for argv in calls]
+
+        def outcomes(call):
+            results = []
+            for argv in calls:
+                results.append((call(argv), doc.read_text() if doc.exists() else None))
+                doc.unlink(missing_ok=True)
+            return results
+
+        assert outcomes(lambda argv: run(capsys, *argv)) == outcomes(self.alone)
 
 
 class TestHarness:

@@ -6,13 +6,16 @@ reader (signs, underscores, non-ASCII digits, empty tokens, numbers past
 the interpreter's digit limit, huge values) and documents to break the
 parser (lines dropped, repeated or swapped, a huge declared n, huge
 colors, CRLF or bare CR line ends, NUL bytes).  Where an independent
-verdict exists the exit class must match it: the rational oracle for
-``check`` and ``construct``, the naive scan for ``verify`` and
-``partition``.  Sizes are capped so that accepted work stays small.
+verdict exists the exit class must match it: for ``check`` and
+``construct`` the rational oracle up to 12 entries and the two-loop
+integer reference past that, for ``verify`` and ``partition`` the naive
+scan.  Sizes are capped so that accepted work stays small: ``check``
+sequences run to a few thousand entries, ``construct`` ones to 200.
 """
 
 import contextlib
 import io
+import random
 import re
 import sys
 
@@ -24,11 +27,12 @@ from gallai import DocumentError, parse_document, render_document
 from gallai.cli import main
 from test_coloring import colorings, naive_rainbow_triangle
 from test_construct import duplication_sequence
-from test_feasibility import rational_slacks
+from test_feasibility import naive_check_sequence, rational_slacks
 
 STDERR_CHARS = 500
 MAX_VERTICES = 4096  # the documented vertex limit, restated independently
 MAX_BITS = 12
+RATIONAL_ENTRIES = 12  # longest sequence the quadratic rational oracle decides
 
 # int() strips exactly these around ASCII digits
 PLAIN = re.compile(r"[ \t\n\v\f\r]*(-?[0-9]+)[ \t\n\v\f\r]*")
@@ -70,6 +74,8 @@ def expected_sequence_exit(text):
         return 2
     if len(values) > 1 and values[0] == 0:
         return 2
+    if len(values) > RATIONAL_ENTRIES:
+        return 0 if naive_check_sequence(values).feasible else 1
     return 0 if all(s >= 0 for s in rational_slacks(values)) else 1
 
 
@@ -82,11 +88,46 @@ sequences = st.one_of(
         lambda xs: ",".join(map(str, xs))
     ),
 )
+
+
+@st.composite
+def long_sequences(draw, max_len, max_degree=64):
+    """Sorted sequences past the rational oracle's reach, with degrees up to
+    max_degree: feasible ones by duplication, the same with one entry moved
+    by one or the maximum raised, uniform draws over all degrees or near
+    log2 n (where the k = 1 inequality is close), and half of them broken by
+    a malformed token, two entries swapped or a leading 0."""
+    # a seeded Random, so that lengths spread evenly up to max_len
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(RATIONAL_ENTRIES + 1, max_len)
+    kind = draw(st.sampled_from(["duplication", "nudged", "raised", "uniform", "near-log"]))
+    if kind == "uniform":
+        values = sorted(rng.randint(1, max_degree) for _ in range(n))
+    elif kind == "near-log":
+        values = sorted(rng.randint(n.bit_length() - 2, n.bit_length() + 1) for _ in range(n))
+    else:
+        values = duplication_sequence(n, rng)
+    if kind == "nudged":
+        i = rng.randrange(n)
+        values[i] = max(1, values[i] + rng.choice((-1, 1)))
+        values.sort()
+    elif kind == "raised":
+        values[-1] += 1
+    tokens = [str(v) for v in values]
+    broken = draw(st.none() | st.sampled_from(["token", "swap", "zero"]))
+    if broken == "token":
+        tokens[rng.randrange(n)] = draw(malformed)
+    elif broken == "swap" and values[0] != values[-1]:
+        tokens[0], tokens[-1] = tokens[-1], tokens[0]
+    elif broken == "zero":
+        tokens[0] = "0"
+    return ",".join(tokens)
+
+
 quiet = st.sampled_from([[], ["--quiet"]])
 
 
-@given(sequences, quiet)
-def test_check_matches_rational_oracle(sequence, flags):
+def check_matches_oracle(sequence, flags):
     code, out, _ = run(["check", *flags, sequence])
     assert code == expected_sequence_exit(sequence)
     if flags:
@@ -94,11 +135,30 @@ def test_check_matches_rational_oracle(sequence, flags):
 
 
 @given(sequences, quiet)
-def test_construct_matches_rational_oracle(sequence, flags):
+def test_check_matches_rational_oracle(sequence, flags):
+    check_matches_oracle(sequence, flags)
+
+
+@given(long_sequences(3000), quiet)
+def test_long_check_matches_linear_oracle(sequence, flags):
+    check_matches_oracle(sequence, flags)
+
+
+def construct_matches_oracle(sequence, flags):
     code, out, _ = run(["construct", *flags, sequence])
     assert code == expected_sequence_exit(sequence)
     if code == 0 and not flags:
         assert parse_document(out).n == sequence.count(",") + 1
+
+
+@given(sequences, quiet)
+def test_construct_matches_rational_oracle(sequence, flags):
+    construct_matches_oracle(sequence, flags)
+
+
+@given(long_sequences(200), quiet)
+def test_long_construct_matches_linear_oracle(sequence, flags):
+    construct_matches_oracle(sequence, flags)
 
 
 sizes = st.one_of(

@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 from gallai import (
     EdgeColoring,
     RainbowWitness,
+    brute_force_gallai_partition,
     chain_coloring,
     color_degrees,
+    find_disconnected_color,
     find_rainbow_triangle,
     is_gallai,
     normalize_colors,
+    render_document,
     uniform_coloring,
 )
+from gallai.cli import main
 
 
 @st.composite
@@ -210,6 +214,50 @@ class TestScanMatchesOracle:
         for index in sorted({0, m // 3, m // 2, m - 1} if m else ()):
             copy = recolored(coloring, index)
             assert find_rainbow_triangle(copy) == naive_rainbow_triangle(copy)
+
+
+class TestOneRowMatrixPerCall:
+    """The scan reads the stored tuple; each command or reader that also
+    needs per-vertex rows builds ``rows()`` once."""
+
+    GALLAI = [chain_coloring(7), uniform_coloring(3), EdgeColoring(4, (0, 0, 1, 0, 1, 1))]
+
+    @pytest.fixture
+    def rows_calls(self, monkeypatch):
+        calls = []
+        rows = EdgeColoring.rows
+
+        def counted(coloring):
+            calls.append(coloring.n)
+            return rows(coloring)
+
+        monkeypatch.setattr(EdgeColoring, "rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("coloring", GALLAI + [recolored(chain_coloring(9), 20), EdgeColoring(3, (0, 1, 2))])
+    def test_scan_builds_no_rows(self, rows_calls, coloring):
+        find_rainbow_triangle(coloring)
+        assert rows_calls == []
+
+    @pytest.mark.parametrize("reader", [find_disconnected_color, brute_force_gallai_partition])
+    @pytest.mark.parametrize("coloring", GALLAI)
+    def test_structure_readers_build_rows_once(self, rows_calls, reader, coloring):
+        reader(coloring)
+        assert rows_calls == [coloring.n]
+
+    @pytest.mark.parametrize("command", ["verify", "partition"])
+    @pytest.mark.parametrize("coloring", GALLAI)
+    def test_commands_build_rows_once(self, rows_calls, tmp_path, capsys, command, coloring):
+        doc = tmp_path / "in.doc"
+        doc.write_text(render_document(coloring))
+        assert main([command, str(doc)]) == 0
+        assert rows_calls == [coloring.n]
+
+    def test_verify_of_a_rainbow_builds_rows_once(self, rows_calls, tmp_path, capsys):
+        doc = tmp_path / "in.doc"
+        doc.write_text(render_document(recolored(chain_coloring(9), 20)))
+        assert main(["verify", str(doc)]) == 1
+        assert rows_calls == [9]
 
 
 class TestColorDegrees:
