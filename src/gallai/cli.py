@@ -78,8 +78,10 @@ def _report_lines(report: FeasibilityReport) -> list[str]:
 
 
 def _read_coloring(path: str) -> EdgeColoring:
-    # newline="" keeps a bare "\r", which parse_document rejects, as it is
-    with open(path, newline="") as f:
+    # newline="" keeps a bare "\r", which parse_document rejects, as it is.
+    # surrogateescape lets a comment hold any byte, whatever the locale; a
+    # stray byte on any other line is left to parse_document to name.
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
         return parse_document(f.read())
 
 

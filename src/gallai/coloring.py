@@ -5,15 +5,15 @@ distinct vertices of K_n.  The color degree of a vertex is the number of
 distinct colors on its incident edges.  A coloring is *Gallai* when no
 triangle carries three pairwise-distinct colors (no rainbow triangle).
 
-The stored form of a coloring is the flat tuple of its upper triangle,
-which the rainbow scan reads one row slice at a time.  Per-vertex readers
-index the symmetric matrix that ``rows()`` builds, and ``from_rows()``
-reads it back; these two are the only conversions between the layouts.
+The stored form of a coloring is the flat tuple of its upper triangle.
+``upper_rows()`` is the one walk over it, one row slice at a time: the
+rainbow scan and the document writers read those slices, and ``rows()``
+builds from them the symmetric matrix that per-vertex readers index.
+``from_rows()`` reads that matrix back.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -31,17 +31,20 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        # bool is an int subclass that no document can spell
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"vertex count must be an integer >= 1, got {self.n!r}")
         expected = self.n * (self.n - 1) // 2
         if len(self.colors) != expected:
             raise ValueError(
                 f"expected {expected} edge colors for n={self.n}, "
                 f"got {len(self.colors)}"
             )
-        for c in self.colors:
-            if not isinstance(c, int) or c < 0:
-                raise ValueError(f"color ids must be nonnegative integers, got {c!r}")
+        # two C-level passes keep the common case cheap; only a failing
+        # coloring is walked in Python to name its first bad color
+        if set(map(type, self.colors)) - {int} or min(self.colors, default=0) < 0:
+            bad = next(c for c in self.colors if type(c) is not int or c < 0)
+            raise ValueError(f"color ids must be nonnegative integers, got {bad!r}")
 
     def _index(self, u: int, v: int) -> int:
         if u > v:
@@ -54,22 +57,22 @@ class EdgeColoring:
         """Color of the edge {u, v}; symmetric in its arguments."""
         return self.colors[self._index(u, v)]
 
-    def pairs(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (u, v, color) for every pair u < v in lexicographic order."""
-        it = iter(self.colors)
-        for u, v in itertools.combinations(range(self.n), 2):
-            yield u, v, next(it)
+    def upper_rows(self) -> Iterator[tuple[int, ...]]:
+        """Yield, for u = 0..n-1, the colors of u's edges toward
+        v = u+1..n-1 in that order; joined end to end they are ``colors``."""
+        start = 0
+        for width in range(self.n - 1, -1, -1):
+            yield self.colors[start:start + width]
+            start += width
 
     def rows(self) -> list[list[int]]:
         """The symmetric n x n color matrix as fresh row lists, with -1 on
         the diagonal: ``rows()[u][v] == color(u, v)`` for u != v."""
         n = self.n
         rows = [[-1] * n for _ in range(n)]
-        start = 0
-        for u in range(n - 1):
+        for u, upper in enumerate(self.upper_rows()):
             row = rows[u]
-            row[u + 1:] = self.colors[start:start + n - u - 1]
-            start += n - u - 1
+            row[u + 1:] = upper
             for v in range(u + 1, n):
                 rows[v][u] = row[v]
         return rows
@@ -130,22 +133,16 @@ def find_rainbow_triangle(coloring: EdgeColoring) -> RainbowWitness | None:
     at most min(deg i, deg j) operations on n-bit masks.
     """
     n = coloring.n
-    colors = coloring.colors
     bits = [1 << v for v in range(n)]
     masks: list[dict[int, int]] = []
-    start = 0
-    for u in range(n):
+    for u, upper in enumerate(coloring.upper_rows()):
         own: dict[int, int] = {}
         get = own.get
-        for bit, c in zip(bits[u + 1:], colors[start:start + n - u - 1]):
+        for bit, c in zip(bits[u + 1:], upper):
             own[c] = get(c, 0) | bit
         masks.append(own)
-        start += n - u - 1
     above = [(1 << n) - (bit << 1) for bit in bits]  # the vertices past each one
-    start = 0
-    for i in range(n - 2):
-        row_i, masks_i = colors[start:start + n - i - 1], masks[i]
-        start += n - i - 1
+    for i, (row_i, masks_i) in enumerate(zip(coloring.upper_rows(), masks)):
         for j, a in zip(range(i + 1, n - 1), row_i):
             masks_j = masks[j]
             # masks_i[a] holds j; above[j] keeps k > j

@@ -53,8 +53,9 @@ def pen_color(color_id: int) -> str:
 def render_document(coloring: EdgeColoring) -> str:
     """Serialize a coloring; inverse of parse_document for any coloring."""
     lines = [f"n {coloring.n}"]
-    for u, v, c in coloring.pairs():
-        lines.append(f"edge {u} {v} {c}")
+    for u, upper in enumerate(coloring.upper_rows()):
+        prefix = f"edge {u} "
+        lines += [f"{prefix}{v} {c}" for v, c in enumerate(upper, u + 1)]
     return "\n".join(lines) + "\n"
 
 
@@ -133,7 +134,8 @@ def _parse_int(token: str, lineno: int) -> int:
 def render_dot(coloring: EdgeColoring) -> str:
     """DOT graph with one pen color per color id, byte-stable."""
     lines = ["graph coloring {", "  node [shape=circle];"]
-    for u, v, c in coloring.pairs():
-        lines.append(f'  {u} -- {v} [color="{pen_color(c)}"];')
+    for u, upper in enumerate(coloring.upper_rows()):
+        prefix = f"  {u} -- "
+        lines += [f'{prefix}{v} [color="{pen_color(c)}"];' for v, c in enumerate(upper, u + 1)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -252,6 +252,31 @@ class TestVerify:
         assert code == 0
         assert "gallai: yes" in out
 
+    @pytest.mark.parametrize("command", ["verify", "partition"])
+    def test_comment_may_hold_any_byte(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.doc"
+        path.write_bytes(b"# caf\xe9\nn 2\nedge 0 1 0\n")
+        code, _, err = run(capsys, command, str(path))
+        assert (code, err) == (0, "")
+
+    def test_stray_byte_outside_a_comment_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "stray.doc"
+        path.write_bytes(b"n 2\nedge 0 1 0\xe9\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: expected ASCII text, got ")
+
+    def test_utf8_comment_under_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "utf8.doc"
+        path.write_bytes("# café\nn 2\nedge 0 1 0\n".encode())
+        env = dict(CHILD_ENV, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gallai", "verify", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "gallai: yes" in proc.stdout
+
     def test_infeasible_sequence_of_a_gallai_coloring_is_reported(self, capsys, tmp_path, monkeypatch):
         # unreachable while the theorem holds, so the check is stubbed
         monkeypatch.setattr(

@@ -40,6 +40,12 @@ def few_color_colorings(draw, max_n=9, max_colors=4):
     return EdgeColoring(n, tuple(draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))))
 
 
+def naive_pairs(coloring):
+    """Oracle: (u, v, color) for every pair u < v in lexicographic order."""
+    pairs = itertools.combinations(range(coloring.n), 2)
+    return ((u, v, c) for (u, v), c in zip(pairs, coloring.colors))
+
+
 def naive_rainbow_triangle(coloring):
     """Oracle: scan every triple i < j < k in lexicographic order."""
     for i, j, k in itertools.combinations(range(coloring.n), 3):
@@ -54,7 +60,7 @@ def naive_rainbow_triangle(coloring):
 def naive_color_degrees(coloring):
     """Oracle: one walk over the pairs, collecting each vertex's colors."""
     seen = [set() for _ in range(coloring.n)]
-    for u, v, c in coloring.pairs():
+    for u, v, c in naive_pairs(coloring):
         seen[u].add(c)
         seen[v].add(c)
     return [len(s) for s in seen]
@@ -84,6 +90,15 @@ class TestEdgeColoring:
         with pytest.raises(ValueError):
             EdgeColoring(2, (0.5,))
 
+    @pytest.mark.parametrize("n, colors", [(2, (True,)), (3, (0, 0, False))])
+    def test_rejects_bool_color(self, n, colors):
+        with pytest.raises(ValueError, match="got (True|False)"):
+            EdgeColoring(n, colors)
+
+    def test_rejects_bool_vertex_count(self):
+        with pytest.raises(ValueError, match="got True"):
+            EdgeColoring(True, ())
+
     def test_color_is_symmetric(self):
         c = EdgeColoring(3, (0, 1, 2))
         assert c.color(0, 2) == c.color(2, 0) == 1
@@ -98,15 +113,19 @@ class TestEdgeColoring:
         with pytest.raises(ValueError):
             c.color(0, 3)
 
-    def test_pairs_lexicographic(self):
-        c = EdgeColoring(4, tuple(range(6)))
-        expected = list(itertools.combinations(range(4), 2))
-        assert [(u, v) for u, v, _ in c.pairs()] == expected
-        assert [col for _, _, col in c.pairs()] == list(range(6))
+    @given(colorings())
+    def test_upper_rows_slice_the_stored_colors(self, coloring):
+        n = coloring.n
+        upper = list(coloring.upper_rows())
+        assert tuple(itertools.chain.from_iterable(upper)) == coloring.colors
+        assert [len(row) for row in upper] == [n - u - 1 for u in range(n)]
+        for u, v in itertools.combinations(range(n), 2):
+            assert upper[u][v - u - 1] == coloring.color(u, v)
 
     def test_single_vertex(self):
         c = EdgeColoring(1, ())
-        assert list(c.pairs()) == []
+        assert list(naive_pairs(c)) == []
+        assert list(c.upper_rows()) == [()]
         assert c.color_set() == set()
         assert color_degrees(c) == [0]
 
@@ -138,7 +157,7 @@ class TestEdgeColoring:
 
     @given(colorings())
     def test_pair_indexing_consistent(self, coloring):
-        for u, v, c in coloring.pairs():
+        for u, v, c in naive_pairs(coloring):
             assert coloring.color(u, v) == c
             assert coloring.color(v, u) == c
 

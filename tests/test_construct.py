@@ -24,10 +24,12 @@ from gallai import (
     normalize_colors,
     realize,
     render_document,
+    render_dot,
     uniform_coloring,
 )
 from gallai.construct import monochromatic_coloring
 from gallai.oracle import candidate_sequences
+from test_coloring import naive_pairs
 
 
 def naive_duplicate(coloring, v, choice):
@@ -43,7 +45,7 @@ def naive_duplicate(coloring, v, choice):
         bridge = min(incident)
     else:
         bridge = max(coloring.colors) + 1 if coloring.colors else 0
-    pair_colors = {(u, w): c for u, w, c in coloring.pairs()}
+    pair_colors = {(u, w): c for u, w, c in naive_pairs(coloring)}
     for u in range(n):
         pair_colors[(u, n)] = bridge if u == v else coloring.color(v, u)
     pairs = itertools.combinations(range(n + 1), 2)
@@ -230,7 +232,7 @@ class TestDuplicateVertex:
         top = max(coloring.colors)
         bridge = data.draw(st.integers(0, top + 1))
         n = coloring.n
-        pair_colors = {(u, w): c for u, w, c in coloring.pairs()}
+        pair_colors = {(u, w): c for u, w, c in naive_pairs(coloring)}
         for u in range(n):
             pair_colors[(u, n)] = bridge if u == v else coloring.color(v, u)
         pairs = itertools.combinations(range(n + 1), 2)
@@ -390,6 +392,10 @@ class TestGeneratorOutput:
     # sha256 over render_document of chain_coloring(1..60), then
     # uniform_coloring(0..6), taken while both still normalized their output
     DIGEST = "76f9ea90766a60f00a9b8b6566e71359e969e848fff70e2e07f6b87f44200f32"
+    # sha256 over render_dot of the same colorings, then of K_8 with colors
+    # 0..27 (past two cycles of the pen palette), taken while the writers
+    # still walked the pairs one at a time
+    DOT_DIGEST = "ceba0aed0d3f2f488d93b60b389fe48ff590ae6bddcc0ecd5d7b8c90776c47fe"
 
     def test_already_normalized(self):
         for n in range(1, 201):
@@ -406,3 +412,12 @@ class TestGeneratorOutput:
         for d in range(0, 7):
             h.update(render_document(uniform_coloring(d)).encode())
         assert h.hexdigest() == self.DIGEST
+
+    def test_dot_digest(self):
+        h = hashlib.sha256()
+        for n in range(1, 61):
+            h.update(render_dot(chain_coloring(n)).encode())
+        for d in range(0, 7):
+            h.update(render_dot(uniform_coloring(d)).encode())
+        h.update(render_dot(EdgeColoring(8, tuple(range(28)))).encode())
+        assert h.hexdigest() == self.DOT_DIGEST

@@ -1,5 +1,7 @@
 """Document serialization, parsing diagnostics, and DOT export."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,11 +11,14 @@ from gallai import (
     EdgeColoring,
     chain_coloring,
     parse_document,
+    realize,
     render_document,
     render_dot,
     uniform_coloring,
 )
 from gallai.document import PALETTE, pen_color
+from test_coloring import naive_pairs
+from test_construct import duplication_sequence
 
 
 @st.composite
@@ -22,6 +27,42 @@ def colorings(draw, max_n=6):
     m = n * (n - 1) // 2
     values = draw(st.lists(st.integers(0, 30), min_size=m, max_size=m))
     return EdgeColoring(n, tuple(values))
+
+
+def naive_render_document(coloring):
+    """Reference for ``render_document``: one line per pair, in pair order."""
+    lines = [f"n {coloring.n}"]
+    for u, v, c in naive_pairs(coloring):
+        lines.append(f"edge {u} {v} {c}")
+    return "\n".join(lines) + "\n"
+
+
+def naive_render_dot(coloring):
+    """Reference for ``render_dot``: one line per pair, in pair order."""
+    lines = ["graph coloring {", "  node [shape=circle];"]
+    for u, v, c in naive_pairs(coloring):
+        lines.append(f'  {u} -- {v} [color="{pen_color(c)}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+class TestWritersMatchThePairWalk:
+    @given(colorings())
+    def test_random(self, coloring):
+        assert render_document(coloring) == naive_render_document(coloring)
+        assert render_dot(coloring) == naive_render_dot(coloring)
+
+    @pytest.mark.parametrize("coloring", [EdgeColoring(1, ()), EdgeColoring(2, (0,)), EdgeColoring(2, (30,))])
+    def test_smallest(self, coloring):
+        assert render_document(coloring) == naive_render_document(coloring)
+        assert render_dot(coloring) == naive_render_dot(coloring)
+
+    def test_realized(self):
+        rng = random.Random(0)
+        for n in (1, 2, 3, 5, 17, 40, 100):
+            coloring = realize(duplication_sequence(n, rng))
+            assert render_document(coloring) == naive_render_document(coloring)
+            assert render_dot(coloring) == naive_render_dot(coloring)
 
 
 class TestRender:
@@ -229,5 +270,5 @@ class TestDot:
     def test_every_edge_present(self):
         c = chain_coloring(5)
         dot = render_dot(c)
-        for u, v, _ in c.pairs():
+        for u, v, _ in naive_pairs(c):
             assert f"{u} -- {v} [" in dot
