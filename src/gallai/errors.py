@@ -10,6 +10,8 @@ Messages never echo unbounded input: sequences are shown through
 text through ``clip``, which keeps a fixed prefix and states its length.
 """
 
+import re
+
 PREVIEW_ENTRIES = 8
 PREVIEW_CHARS = 80
 ECHO_CHARS = 40  # longest text prefix an error message repeats
@@ -24,10 +26,23 @@ def preview(values) -> str:
     return f"{head[:PREVIEW_CHARS]} ...] ({len(values)} entries)"
 
 
+# errors="surrogateescape", used for CLI documents and for argv on POSIX,
+# reads a byte 0x80-0xFF that is not UTF-8 as U+DC80-U+DCFF, which repr
+# writes "\udcXX".  Matching an escaped backslash as a whole keeps it from
+# starting a match.
+_SURROGATE_ESCAPE = re.compile(r"\\(\\|udc[89a-f][0-9a-f])")
+
+
+def _as_byte(match: re.Match) -> str:
+    escape = match[1]
+    return match[0] if escape == "\\" else "\\x" + escape[3:]
+
+
 def clip(text: str) -> str:
     """``text`` as a string literal, or for long text the literal of its
-    first ECHO_CHARS characters and the character count."""
-    shown = repr(text[:ECHO_CHARS])
+    first ECHO_CHARS characters and the character count.  A surrogate
+    escape is shown as the byte it stands for."""
+    shown = _SURROGATE_ESCAPE.sub(_as_byte, repr(text[:ECHO_CHARS]))
     if len(text) > ECHO_CHARS:
         shown += f"... ({len(text)} characters)"
     return shown

@@ -15,6 +15,17 @@ color degree: assigning c to (u, v) raises the counts of c at u and v and
 a degree whose count goes from 0 to 1, and backtracking undoes both.  A
 leaf therefore holds its degrees without a pass over its edges.
 
+``crosscheck`` needs only the sorted degree sequences, so it runs a second
+copy of the walk that keeps only colorings whose vertices come in
+nondecreasing key order, the key being a vertex's color degree and then
+its sorted color counts.  Relabeling vertices and colors leaves every key
+as it is, and sorting the vertices by key puts any coloring in that order,
+so no sequence is lost; the leaf's degrees are already sorted.  A row
+stops as soon as its vertex can no longer reach the degree of the one
+before it.  At n = 6 the sweep visits 2,645 of the 44,300 colorings and
+``crosscheck(6)`` takes about 65 ms against 170 ms with the full walk; at
+n = 7 it visits 37,373 and takes about 2 s (2-vCPU VM, Python 3.11).
+
 Everything downstream of the enumeration (realizable sequence sets, the
 characterization crosscheck, brute-force partitions) is small enough to be
 an independent referee for the analytic modules.
@@ -32,15 +43,17 @@ from .errors import InternalConsistencyError, NotGallaiError, SizeGuardError
 from .feasibility import check_sequence
 
 # n = 6: 44,300 colorings, about 0.25 s for enumeration_stats; n = 7 has
-# 2,685,365 and took 18 s (2-vCPU VM, Python 3.11).
+# 2,685,365 and took 18 s (2-vCPU VM, Python 3.11).  crosscheck keeps the
+# same limit, though its key-ordered sweep takes about 2 s at n = 7.
 ENUMERATION_SIZE_LIMIT = 6
 PARTITION_SIZE_LIMIT = 10
 
 
 @dataclass(frozen=True)
 class EnumerationStats:
-    """Count of Gallai colorings of K_n up to color relabeling, plus the set
-    of sorted degree sequences they realize."""
+    """Count of the Gallai colorings of K_n a walk visits up to color
+    relabeling (all of them, or for crosscheck's sweep only those in vertex
+    key order), plus the set of sorted degree sequences they realize."""
 
     n: int
     count: int
@@ -88,6 +101,17 @@ def _check_size(n: int) -> None:
         )
 
 
+def _tables(n: int) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
+    """The pairs of K_n in lexicographic order, and for each pair (u, v) the
+    edge indices of the triangles {w, u, v}, w < u, that it completes."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    closing = [
+        [(index[(w, u)], index[(w, v)]) for w in range(u)] for u, v in pairs
+    ]
+    return pairs, closing
+
+
 def _walk(n: int) -> Iterator[tuple[list[int], list[int]]]:
     """The restricted-growth walk over Gallai colorings of K_n.
 
@@ -96,13 +120,7 @@ def _walk(n: int) -> Iterator[tuple[list[int], list[int]]]:
     resumes, so a consumer copies what it keeps.
     """
     _check_size(n)
-    pairs = list(itertools.combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    # Triangles completed by each edge: {w, u, v} for w < u is fully
-    # assigned exactly when (u, v) is, in lexicographic pair order.
-    closing = [
-        [(index[(w, u)], index[(w, v)]) for w in range(u)] for u, v in pairs
-    ]
+    pairs, closing = _tables(n)
     colors = [0] * len(pairs)
     counts = [[0] * len(pairs) for _ in range(n)]  # counts[v][c]
     degrees = [0] * n
@@ -166,6 +184,84 @@ def enumeration_stats(n: int) -> EnumerationStats:
     return EnumerationStats(n=n, count=count, sequences=frozenset(sequences))
 
 
+def _ordered_stats(n: int) -> EnumerationStats:
+    """The walk restricted to colorings whose vertices come in nondecreasing
+    key order, the key of a vertex being its color degree and then its
+    sorted color counts.
+
+    The key survives any relabeling of vertices or colors, and sorting the
+    vertices by key relabels every Gallai coloring into that order, so the
+    sequences are those of the full walk.  ``count`` is the number of
+    key-ordered colorings up to color relabeling, so a weaker key (the
+    degree alone) finds the same sequences but not the same count.  No
+    size guard: the caller decides what it can afford.
+    """
+    pairs, closing = _tables(n)
+    last = len(pairs) - 1
+    colors = [0] * len(pairs)
+    counts = [[0] * len(pairs) for _ in range(n)]  # counts[v][c]
+    degrees = [0] * n
+    sequences = set()
+    count = 0
+
+    def below(v: int, k: int) -> bool:
+        # key(v) < key(v-1), where colors k and up are still unused
+        if degrees[v] != degrees[v - 1]:
+            return degrees[v] < degrees[v - 1]
+        return sorted(counts[v][:k]) < sorted(counts[v - 1][:k])
+
+    def extend(e: int, used: int) -> None:
+        nonlocal count
+        if e > last:
+            count += 1
+            sequences.add(tuple(degrees))  # key order sorts the degrees
+            return
+        allowed = -1
+        for ea, eb in closing[e]:
+            a, b = colors[ea], colors[eb]
+            if a != b:
+                allowed &= (1 << a) | (1 << b)
+                if not allowed:
+                    return
+        if allowed == -1:
+            options = range(used + 1)
+        else:
+            low = (allowed & -allowed).bit_length() - 1
+            high = allowed.bit_length() - 1
+            options = (low,) if low == high else (low, high)
+        u, v = pairs[e]
+        count_u, count_v = counts[u], counts[v]
+        for c in options:
+            colors[e] = c
+            count_u[c] += 1
+            if count_u[c] == 1:
+                degrees[u] += 1
+            count_v[c] += 1
+            if count_v[c] == 1:
+                degrees[v] += 1
+            # Vertex u - 1 is complete.  Each edge still open in row u can
+            # raise degrees[u] by one at most; the row's last edge completes
+            # u, and the walk's last edge also completes v = n - 1.
+            if not (
+                u
+                and (
+                    degrees[u] + n - 1 - v < degrees[u - 1]
+                    or v == n - 1 and below(u, used + 1)
+                )
+                or e == last and below(v, used + 1)
+            ):
+                extend(e + 1, used + (c == used))
+            count_u[c] -= 1
+            if not count_u[c]:
+                degrees[u] -= 1
+            count_v[c] -= 1
+            if not count_v[c]:
+                degrees[v] -= 1
+
+    extend(0, 0)
+    return EnumerationStats(n=n, count=count, sequences=frozenset(sequences))
+
+
 def candidate_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """All nondecreasing candidate sequences of length n with entries in
     [1, n-1]; for n = 1 the only candidate is (0,)."""
@@ -181,7 +277,8 @@ def crosscheck(n: int) -> CrosscheckResult:
     The two sets agree for every n (this is the characterization); the
     result carries both sets so a disagreement can be inspected.
     """
-    realizable = enumeration_stats(n).sequences
+    _check_size(n)
+    realizable = _ordered_stats(n).sequences
     feasible = frozenset(
         seq for seq in candidate_sequences(n) if check_sequence(seq).feasible
     )

@@ -184,6 +184,11 @@ class TestBoundedMessages:
         _, _, err = run(capsys, "check", "1,two,3")
         assert err == "error: not a comma-separated integer list: '1,two,3'\n"
 
+    def test_undecodable_argument_byte_is_echoed_as_the_byte(self, capsys):
+        # how a POSIX argv holds the byte 0xE9 that is not UTF-8
+        _, _, err = run(capsys, "check", "1,\udce9")
+        assert err == "error: not a comma-separated integer list: '1,\\xe9'\n"
+
 
 class TestVerify:
     def write(self, tmp_path, coloring):
@@ -264,7 +269,8 @@ class TestVerify:
         path.write_bytes(b"n 2\nedge 0 1 0\xe9\n")
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith("error: line 2: expected ASCII text, got ")
+        # the echo shows the file's byte, not its surrogate escape "\udce9"
+        assert err == "error: line 2: expected ASCII text, got 'edge 0 1 0\\xe9'\n"
 
     def test_utf8_comment_under_an_ascii_locale(self, tmp_path):
         path = tmp_path / "utf8.doc"

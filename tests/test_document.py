@@ -172,6 +172,16 @@ class TestParse:
         with pytest.raises(DocumentError, match=rf"^line {lineno}: expected ASCII text, got "):
             parse_document(text)
 
+    def test_echo_names_bytes_not_surrogate_escapes(self):
+        # "\udce9" is how errors="surrogateescape" reads the byte 0xE9; a
+        # backslash followed by the ASCII letters "udce9" stays as it is
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document("n 2\nedge 0 1 \udce9\n")
+        assert str(excinfo.value) == "line 2: expected ASCII text, got 'edge 0 1 \\xe9'"
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document("n 2\nedge 0 1 \\udce9\n")
+        assert str(excinfo.value) == "line 2: expected an integer, got '\\\\udce9'"
+
     def test_crlf_line_ends(self):
         assert parse_document("n 2\r\nedge 0 1 0\r\n") == EdgeColoring(2, (0,))
         # a bare "\r" ends no line

@@ -8,12 +8,16 @@ n = 6, beyond the referee's reach, the enumeration gives 44,300 colorings
 with 25 sorted degree sequences; the whole stream is pinned by a sha256
 taken from the walk that recounted degrees with ``color_degrees`` per leaf.
 ``enumeration_stats`` reads the degrees its walk carries and is refereed by
-exactly that recount, ``naive_enumeration_stats``.
+exactly that recount, ``naive_enumeration_stats``.  ``crosscheck``'s sweep,
+``_ordered_stats``, must find the full walk's sequences, and it must count
+as many colorings as the full walk holds with nondecreasing vertex keys,
+which ``key_ordered`` recomputes from the color matrix.
 """
 
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -36,7 +40,12 @@ from gallai import (
     uniform_coloring,
 )
 from gallai.construct import monochromatic_coloring
-from gallai.oracle import EnumerationStats, _partitions_by_block_count, candidate_sequences
+from gallai.oracle import (
+    EnumerationStats,
+    _ordered_stats,
+    _partitions_by_block_count,
+    candidate_sequences,
+)
 
 GALLAI_COUNTS = {1: 1, 2: 1, 3: 4, 4: 47, 5: 1127}
 SIX_VERTEX_COUNT = 44300
@@ -44,6 +53,11 @@ SIX_VERTEX_SEQUENCES = 25
 # sha256 over the color tuples of enumerate_gallai(6), concatenated in
 # stream order, one byte per color.
 SIX_VERTEX_STREAM_SHA256 = "6ec8b63316d6da89e8172ac96e40492a46af86b4096063e56a77413be579daec"
+
+# Key-ordered colorings: at n = 6, enumerate_gallai(6) filtered by
+# key_ordered; at n = 7, the sweep's own count.
+ORDERED_SIX_VERTEX_COUNT = 2645
+ORDERED_SEVEN_VERTEX_COUNT = 37373
 
 # sha256 over the reprs of brute_force_gallai_partition of every
 # enumerated coloring for n = 2..5, taken from the implementation that read
@@ -79,6 +93,16 @@ def naive_enumeration_stats(n):
         count += 1
         sequences.add(tuple(sorted(color_degrees(c))))
     return EnumerationStats(n=n, count=count, sequences=frozenset(sequences))
+
+
+def key_ordered(coloring):
+    """Whether the vertices come in nondecreasing order of (color degree,
+    sorted color counts)."""
+    keys = []
+    for v, row in enumerate(coloring.rows()):
+        tally = Counter(c for w, c in enumerate(row) if w != v)
+        keys.append((len(tally), sorted(tally.values())))
+    return keys == sorted(keys)
 
 
 def naive_partitions(n):
@@ -259,6 +283,40 @@ class TestCrosscheck:
         result = crosscheck(4)
         for seq in candidate_sequences(4):
             assert (seq in result.feasible) == check_sequence(seq).feasible
+
+
+class TestOrderedSweep:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_sequences_match_full_walk(self, n):
+        assert _ordered_stats(n).sequences == enumeration_stats(n).sequences == (
+            naive_enumeration_stats(n).sequences
+        )
+
+    def test_counts_the_key_ordered_colorings(self, enumerated):
+        for n in range(1, 6):
+            assert _ordered_stats(n).count == sum(map(key_ordered, enumerated[n]))
+
+    def test_six_vertices_frozen(self):
+        assert _ordered_stats(6).count == ORDERED_SIX_VERTEX_COUNT
+
+    def test_seven_vertices_match_feasible(self):
+        stats = _ordered_stats(7)
+        assert stats.sequences == {
+            seq for seq in candidate_sequences(7) if check_sequence(seq).feasible
+        }
+        assert len(stats.sequences) == 57
+        assert stats.count == ORDERED_SEVEN_VERTEX_COUNT
+
+    def test_crosscheck_guards_before_any_walk(self, monkeypatch):
+        def walked(n):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr("gallai.oracle._ordered_stats", walked)
+        monkeypatch.setattr("gallai.oracle._walk", walked)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            crosscheck(0)
+        with pytest.raises(SizeGuardError):
+            crosscheck(7)
 
 
 class TestPartitionScan:
