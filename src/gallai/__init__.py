@@ -52,12 +52,10 @@ from .oracle import (
     ENUMERATION_SIZE_LIMIT,
     PARTITION_SIZE_LIMIT,
     CrosscheckResult,
-    EnumerationStats,
     GallaiPartition,
     brute_force_gallai_partition,
     crosscheck,
     enumerate_gallai,
-    enumeration_stats,
 )
 from .structure import (
     ChainOrder,

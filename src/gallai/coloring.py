@@ -34,6 +34,12 @@ class EdgeColoring:
         # bool is an int subclass that no document can spell
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"vertex count must be an integer >= 1, got {self.n!r}")
+        # a list or range would compare unequal to the same tuple, fail to
+        # hash, or change after this check
+        if type(self.colors) is not tuple:
+            raise ValueError(
+                f"colors must be a tuple, got {type(self.colors).__name__}"
+            )
         expected = self.n * (self.n - 1) // 2
         if len(self.colors) != expected:
             raise ValueError(

@@ -75,6 +75,8 @@ def duplicate_vertex(
     max color id + 1 (FRESH_COLOR).  All other vertices keep their color
     degree; v and the clone end at deg(v) resp. deg(v) + 1.
     """
+    if not isinstance(choice, DuplicationChoice):
+        raise ValueError(f"choice must be a DuplicationChoice, got {choice!r}")
     n = coloring.n
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range for n={n}")

@@ -10,25 +10,25 @@ edges carry colors a != b limits (u, v) to {a, b}; the admissible colors
 are the intersection of those pairs, at most two of them, and the node is
 cut when it is empty.  Only unconstrained edges may take a fresh color.
 
-The walk also carries, per vertex, a count of each incident color and the
-color degree: assigning c to (u, v) raises the counts of c at u and v and
-a degree whose count goes from 0 to 1, and backtracking undoes both.  A
-leaf therefore holds its degrees without a pass over its edges.
-
 ``crosscheck`` needs only the sorted degree sequences, so it runs a second
 copy of the walk that keeps only colorings whose vertices come in
 nondecreasing key order, the key being a vertex's color degree and then
-its sorted color counts.  Relabeling vertices and colors leaves every key
-as it is, and sorting the vertices by key puts any coloring in that order,
-so no sequence is lost; the leaf's degrees are already sorted.  A row
-stops as soon as its vertex can no longer reach the degree of the one
-before it.  At n = 6 the sweep visits 2,645 of the 44,300 colorings and
-``crosscheck(6)`` takes about 65 ms against 170 ms with the full walk; at
-n = 7 it visits 37,373 and takes about 2 s (2-vCPU VM, Python 3.11).
+its sorted color counts.  The sweep carries, per vertex, a count of each
+incident color and the color degree: assigning c to (u, v) raises the
+counts of c at u and v and a degree whose count goes from 0 to 1, and
+backtracking undoes both, so keys compare and a leaf holds its degrees
+without a pass over its edges.  Relabeling vertices and colors leaves
+every key as it is, and sorting the vertices by key puts any coloring in
+that order, so no sequence is lost; the leaf's degrees are already
+sorted.  A row stops as soon as its vertex can no longer reach the degree
+of the one before it.  At n = 6 the sweep visits 2,645 of the 44,300
+colorings and ``crosscheck(6)`` takes about 65 ms, against 170 ms when it
+read every coloring of the full walk; at n = 7 it visits 37,373 and takes
+about 2 s (2-vCPU VM, Python 3.11).
 
-Everything downstream of the enumeration (realizable sequence sets, the
-characterization crosscheck, brute-force partitions) is small enough to be
-an independent referee for the analytic modules.
+The enumeration, the crosscheck and the brute-force partition search are
+each small enough to serve as an independent referee for the analytic
+modules.
 """
 
 from __future__ import annotations
@@ -42,18 +42,19 @@ from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle  # noqa
 from .errors import InternalConsistencyError, NotGallaiError, SizeGuardError
 from .feasibility import check_sequence
 
-# n = 6: 44,300 colorings, about 0.25 s for enumeration_stats; n = 7 has
-# 2,685,365 and took 18 s (2-vCPU VM, Python 3.11).  crosscheck keeps the
-# same limit, though its key-ordered sweep takes about 2 s at n = 7.
+# n = 6: 44,300 colorings, which enumerate_gallai yields in about 0.3 s;
+# n = 7 has 2,685,365 and takes about 18 s (2-vCPU VM, Python 3.11).
+# crosscheck keeps the same limit, though its key-ordered sweep takes
+# about 2 s at n = 7.
 ENUMERATION_SIZE_LIMIT = 6
 PARTITION_SIZE_LIMIT = 10
 
 
 @dataclass(frozen=True)
 class EnumerationStats:
-    """Count of the Gallai colorings of K_n a walk visits up to color
-    relabeling (all of them, or for crosscheck's sweep only those in vertex
-    key order), plus the set of sorted degree sequences they realize."""
+    """Count of the Gallai colorings of K_n that crosscheck's sweep visits
+    up to color relabeling, those in vertex key order, plus the set of
+    sorted degree sequences they realize."""
 
     n: int
     count: int
@@ -112,22 +113,20 @@ def _tables(n: int) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]
     return pairs, closing
 
 
-def _walk(n: int) -> Iterator[tuple[list[int], list[int]]]:
-    """The restricted-growth walk over Gallai colorings of K_n.
+def enumerate_gallai(n: int) -> Iterator[EdgeColoring]:
+    """Yield every Gallai coloring of K_n exactly once up to color relabeling.
 
-    Raises on a bad n when called, then yields the live ``(colors,
-    degrees)`` lists at every leaf.  Both are overwritten once the walk
-    resumes, so a consumer copies what it keeps.
+    Colorings come out in restricted-growth order and are already in
+    normalized (first-appearance) color form.  Deterministic.  A bad n
+    raises when called, before the first coloring is asked for.
     """
     _check_size(n)
     pairs, closing = _tables(n)
     colors = [0] * len(pairs)
-    counts = [[0] * len(pairs) for _ in range(n)]  # counts[v][c]
-    degrees = [0] * n
 
-    def extend(e: int, used: int) -> Iterator[tuple[list[int], list[int]]]:
+    def extend(e: int, used: int) -> Iterator[EdgeColoring]:
         if e == len(pairs):
-            yield colors, degrees
+            yield EdgeColoring(n, tuple(colors))
             return
         # Bit c of ``allowed`` admits color c; -1 means no closing triangle
         # constrains e yet.
@@ -144,44 +143,11 @@ def _walk(n: int) -> Iterator[tuple[list[int], list[int]]]:
             low = (allowed & -allowed).bit_length() - 1
             high = allowed.bit_length() - 1
             options = (low,) if low == high else (low, high)
-        u, v = pairs[e]
-        count_u, count_v = counts[u], counts[v]
         for c in options:
             colors[e] = c
-            count_u[c] += 1
-            if count_u[c] == 1:
-                degrees[u] += 1
-            count_v[c] += 1
-            if count_v[c] == 1:
-                degrees[v] += 1
             yield from extend(e + 1, used + (c == used))
-            count_u[c] -= 1
-            if not count_u[c]:
-                degrees[u] -= 1
-            count_v[c] -= 1
-            if not count_v[c]:
-                degrees[v] -= 1
 
     return extend(0, 0)
-
-
-def enumerate_gallai(n: int) -> Iterator[EdgeColoring]:
-    """Yield every Gallai coloring of K_n exactly once up to color relabeling.
-
-    Colorings come out in restricted-growth order and are already in
-    normalized (first-appearance) color form.  Deterministic.
-    """
-    return (EdgeColoring(n, tuple(colors)) for colors, _ in _walk(n))
-
-
-def enumeration_stats(n: int) -> EnumerationStats:
-    """Count the enumeration and collect its degree sequences in one sweep."""
-    count = 0
-    sequences = set()
-    for _, degrees in _walk(n):
-        count += 1
-        sequences.add(tuple(sorted(degrees)))
-    return EnumerationStats(n=n, count=count, sequences=frozenset(sequences))
 
 
 def _ordered_stats(n: int) -> EnumerationStats:

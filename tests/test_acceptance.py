@@ -28,14 +28,9 @@ from gallai import (
     uniform_coloring,
 )
 from gallai.cli import main
-from gallai.oracle import brute_force_gallai_partition, candidate_sequences
+from gallai.oracle import brute_force_gallai_partition
 from gallai.structure import compression_degree_bounds
-
-
-def feasible_sequences(n):
-    for seq in candidate_sequences(n):
-        if check_sequence(seq).feasible:
-            yield seq
+from oracles import feasible_sequences
 
 
 def test_criterion_01_characterization_equivalence():

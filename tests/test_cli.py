@@ -10,7 +10,7 @@ import pytest
 
 from gallai import CrosscheckResult, EdgeColoring, FeasibilityReport, color_degrees, parse_document, render_document
 from gallai.cli import main
-from test_construct import duplication_sequence
+from oracles import duplication_sequence
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -25,9 +25,13 @@ from hypothesis import strategies as st
 
 from gallai import DocumentError, parse_document, render_document
 from gallai.cli import main
-from test_coloring import colorings, naive_rainbow_triangle
-from test_construct import duplication_sequence
-from test_feasibility import naive_check_sequence, rational_slacks
+from oracles import (
+    colorings,
+    duplication_sequence,
+    naive_check_sequence,
+    naive_rainbow_triangle,
+    rational_slacks,
+)
 
 STDERR_CHARS = 500
 MAX_VERTICES = 4096  # the documented vertex limit, restated independently

@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from gallai import (
     EdgeColoring,
@@ -20,57 +19,14 @@ from gallai import (
     uniform_coloring,
 )
 from gallai.cli import main
-
-
-@st.composite
-def colorings(draw, max_n=6):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    m = n * (n - 1) // 2
-    values = draw(st.lists(st.integers(0, m), min_size=m, max_size=m))
-    return EdgeColoring(n, tuple(values))
-
-
-@st.composite
-def few_color_colorings(draw, max_n=9, max_colors=4):
-    """Colorings with few colors, so that both Gallai and rainbow outcomes
-    are common."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    k = draw(st.integers(min_value=1, max_value=max_colors))
-    m = n * (n - 1) // 2
-    return EdgeColoring(n, tuple(draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))))
-
-
-def naive_pairs(coloring):
-    """Oracle: (u, v, color) for every pair u < v in lexicographic order."""
-    pairs = itertools.combinations(range(coloring.n), 2)
-    return ((u, v, c) for (u, v), c in zip(pairs, coloring.colors))
-
-
-def naive_rainbow_triangle(coloring):
-    """Oracle: scan every triple i < j < k in lexicographic order."""
-    for i, j, k in itertools.combinations(range(coloring.n), 3):
-        a = coloring.color(i, j)
-        b = coloring.color(i, k)
-        c = coloring.color(j, k)
-        if a != b and a != c and b != c:
-            return RainbowWitness((i, j, k), (a, b, c))
-    return None
-
-
-def naive_color_degrees(coloring):
-    """Oracle: one walk over the pairs, collecting each vertex's colors."""
-    seen = [set() for _ in range(coloring.n)]
-    for u, v, c in naive_pairs(coloring):
-        seen[u].add(c)
-        seen[v].add(c)
-    return [len(s) for s in seen]
-
-
-def recolored(coloring, index):
-    """Copy of the coloring with the edge at ``index`` given a fresh color."""
-    colors = list(coloring.colors)
-    colors[index] = max(colors) + 1
-    return EdgeColoring(coloring.n, tuple(colors))
+from oracles import (
+    colorings,
+    few_color_colorings,
+    naive_color_degrees,
+    naive_pairs,
+    naive_rainbow_triangle,
+    recolored,
+)
 
 
 class TestEdgeColoring:
@@ -98,6 +54,11 @@ class TestEdgeColoring:
     def test_rejects_bool_vertex_count(self):
         with pytest.raises(ValueError, match="got True"):
             EdgeColoring(True, ())
+
+    @pytest.mark.parametrize("colors", [[0, 0, 1], range(3)], ids=["list", "range"])
+    def test_rejects_colors_that_are_not_a_tuple(self, colors):
+        with pytest.raises(ValueError, match="must be a tuple"):
+            EdgeColoring(3, colors)
 
     def test_color_is_symmetric(self):
         c = EdgeColoring(3, (0, 1, 2))

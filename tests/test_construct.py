@@ -14,7 +14,6 @@ from gallai import (
     DuplicationChoice,
     EdgeColoring,
     InfeasibleSequenceError,
-    InternalConsistencyError,
     SizeGuardError,
     chain_coloring,
     check_sequence,
@@ -29,79 +28,13 @@ from gallai import (
 )
 from gallai.construct import monochromatic_coloring
 from gallai.oracle import candidate_sequences
-from test_coloring import naive_pairs
-
-
-def naive_duplicate(coloring, v, choice):
-    """Reference for ``duplicate_vertex``: rebuilds every pair through a
-    dict and reads the color tuple off it in lexicographic pair order."""
-    n = coloring.n
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} out of range for n={n}")
-    incident = [coloring.color(v, u) for u in range(n) if u != v]
-    if choice is DuplicationChoice.EXISTING_COLOR:
-        if not incident:
-            raise ValueError("EXISTING_COLOR requires the vertex to have an edge")
-        bridge = min(incident)
-    else:
-        bridge = max(coloring.colors) + 1 if coloring.colors else 0
-    pair_colors = {(u, w): c for u, w, c in naive_pairs(coloring)}
-    for u in range(n):
-        pair_colors[(u, n)] = bridge if u == v else coloring.color(v, u)
-    pairs = itertools.combinations(range(n + 1), 2)
-    return EdgeColoring(n + 1, tuple(pair_colors[p] for p in pairs))
-
-
-def naive_realize(values):
-    """Reference for ``realize``: one recursion level and one full rebuild
-    per vertex, degrees recomputed at every step (O(n^3), recursion depth n)."""
-    report = check_sequence(values)
-    if not report.feasible:
-        raise InfeasibleSequenceError(report)
-    return normalize_colors(_naive_realize(list(report.values)))
-
-
-def _naive_realize(seq):
-    n = len(seq)
-    if n == 1:
-        return EdgeColoring(1, ())
-    t = seq[-1]
-    if t == 1:
-        return monochromatic_coloring(n)
-    m = seq.count(t)
-    if m < 2:
-        raise InternalConsistencyError(f"feasible sequence {seq} has a unique maximum")
-    if m % 2 == 1:
-        sub = _naive_realize(seq[:-1])
-        target = t
-        choice = DuplicationChoice.EXISTING_COLOR
-    else:
-        sub = _naive_realize(seq[: n - m] + [t - 1] + [t] * (m - 2))
-        target = t - 1
-        choice = DuplicationChoice.FRESH_COLOR
-    v = color_degrees(sub).index(target)
-    return naive_duplicate(sub, v, choice)
-
-
-def duplication_sequence(n, rng):
-    """Sorted degrees after n - 1 random duplications from K_1, tracked on
-    the degrees alone, so the sequence is feasible by construction."""
-    degrees = [0]
-    while len(degrees) < n:
-        v = rng.randrange(len(degrees))
-        if degrees[v] and rng.random() < 0.5:
-            degrees.append(degrees[v])
-        else:
-            degrees[v] += 1
-            degrees.append(degrees[v])
-    return sorted(degrees)
-
-
-def feasible_up_to(max_n):
-    for n in range(1, max_n + 1):
-        for seq in candidate_sequences(n):
-            if check_sequence(seq).feasible:
-                yield seq
+from oracles import (
+    duplication_sequence,
+    feasible_sequences,
+    naive_duplicate,
+    naive_pairs,
+    naive_realize,
+)
 
 
 def realization_digest(sequences):
@@ -187,6 +120,11 @@ class TestDuplicateVertex:
     def test_rejects_bad_vertex(self):
         with pytest.raises(ValueError):
             duplicate_vertex(chain_coloring(3), 3, DuplicationChoice.FRESH_COLOR)
+
+    @pytest.mark.parametrize("choice", ["existing", "fresh", None])
+    def test_rejects_a_choice_that_is_not_a_duplication_choice(self, choice):
+        with pytest.raises(ValueError, match="DuplicationChoice"):
+            duplicate_vertex(chain_coloring(3), 0, choice)
 
     @given(duplication_chains())
     def test_chains_stay_gallai(self, chain):
@@ -291,6 +229,7 @@ class TestRealizeMatchesOracle:
     # sha256 over render_document(realize(seq)) for the 232 feasible
     # sequences with n <= 8, in candidate order
     SMALL_DIGEST = "89a34cf2df6a4e7e43c6c29c64e6a9d22fa6258a43ce6c158725600aef8702b6"
+    SMALL = [seq for n in range(1, 9) for seq in feasible_sequences(n)]
     # the same over LARGE
     LARGE_DIGEST = "b687dae47f17859e46403fdd959fc1c8b7f854135dbaac51c8574d5c52329755"
     LARGE = [list(range(1, 200)) + [199], [7] * 128] + [
@@ -298,13 +237,13 @@ class TestRealizeMatchesOracle:
     ]
 
     def test_small_digest(self):
-        assert realization_digest(feasible_up_to(8)) == self.SMALL_DIGEST
+        assert realization_digest(self.SMALL) == self.SMALL_DIGEST
 
     def test_large_digest(self):
         assert realization_digest(self.LARGE) == self.LARGE_DIGEST
 
     def test_every_small_feasible_sequence(self):
-        for seq in feasible_up_to(8):
+        for seq in self.SMALL:
             assert realize(seq) == naive_realize(seq), seq
 
     @settings(max_examples=40)

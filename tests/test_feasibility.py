@@ -2,62 +2,22 @@
 against the two-loop construction with a table of suffix sums."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gallai import (
-    FeasibilityReport,
     MalformedSequenceError,
     check_sequence,
     min_degree_upper_bound,
     validate_sequence,
 )
-from test_construct import duplication_sequence
+from oracles import duplication_sequence, naive_check_sequence, rational_slacks
 
 nondecreasing = st.lists(st.integers(1, 40), min_size=1, max_size=12).map(
     lambda xs: tuple(sorted(xs))
 )
-
-
-def rational_slacks(seq):
-    """Oracle: the k-th suffix inequality's slack in exact rationals,
-    sum over i >= k of 2^(d_{k-1} - d_i), less 1 (d_0 = 0)."""
-    n = len(seq)
-    slacks = []
-    for k in range(1, n + 1):
-        prev = seq[k - 2] if k >= 2 else 0
-        lhs = sum(Fraction(1, 2 ** (seq[i - 1] - prev)) for i in range(k, n + 1))
-        slacks.append(lhs - 1)
-    return slacks
-
-
-def naive_check_sequence(values):
-    """Reference for ``check_sequence``: stores all n suffix sums first, then
-    subtracts the k-th bound from each in a second loop."""
-    seq = validate_sequence(values)
-    n = len(seq)
-    top = seq[-1]
-    # suffix[k-1] = sum over i >= k of 2^(top - d_i), exact integers
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + (1 << (top - seq[i]))
-    slacks = []
-    first_violation = None
-    for k in range(1, n + 1):
-        prev = seq[k - 2] if k >= 2 else 0
-        slack = suffix[k - 1] - (1 << (top - prev))
-        slacks.append(slack)
-        if slack < 0 and first_violation is None:
-            first_violation = k
-    return FeasibilityReport(
-        values=seq,
-        slacks=tuple(slacks),
-        feasible=first_violation is None,
-        first_violation=first_violation,
-    )
 
 
 class TestValidate:

@@ -5,27 +5,24 @@ restricted-growth colorings and filters with the rainbow scan afterwards;
 the two must produce identical streams.  Counts frozen from that referee:
 n = 1..5 give 1, 1, 4, 47, 1127 colorings up to color relabeling.  At
 n = 6, beyond the referee's reach, the enumeration gives 44,300 colorings
-with 25 sorted degree sequences; the whole stream is pinned by a sha256
-taken from the walk that recounted degrees with ``color_degrees`` per leaf.
-``enumeration_stats`` reads the degrees its walk carries and is refereed by
-exactly that recount, ``naive_enumeration_stats``.  ``crosscheck``'s sweep,
-``_ordered_stats``, must find the full walk's sequences, and it must count
+with 25 sorted degree sequences, as ``naive_enumeration_stats`` recounts
+them with ``color_degrees`` per leaf; the whole stream is pinned by a
+sha256 taken from the walk that made that recount.  ``crosscheck``'s sweep,
+``_ordered_stats``, must find the recount's sequences, and it must count
 as many colorings as the full walk holds with nondecreasing vertex keys,
-which ``key_ordered`` recomputes from the color matrix.
+which ``key_ordered`` recomputes from the color matrix.  The referees live
+in ``oracles.py``.
 """
 
 import hashlib
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
 from gallai import (
-    PARTITION_SIZE_LIMIT,
     EdgeColoring,
     GallaiPartition,
-    InternalConsistencyError,
     NotGallaiError,
     SizeGuardError,
     brute_force_gallai_partition,
@@ -33,8 +30,6 @@ from gallai import (
     color_degrees,
     crosscheck,
     enumerate_gallai,
-    enumeration_stats,
-    find_rainbow_triangle,
     is_gallai,
     normalize_colors,
     uniform_coloring,
@@ -45,6 +40,14 @@ from gallai.oracle import (
     _ordered_stats,
     _partitions_by_block_count,
     candidate_sequences,
+)
+from oracles import (
+    key_ordered,
+    naive_enumeration_stats,
+    naive_gallai_partition,
+    naive_partitions,
+    outcome,
+    unfiltered_reference,
 )
 
 GALLAI_COUNTS = {1: 1, 2: 1, 3: 4, 4: 47, 5: 1127}
@@ -65,103 +68,6 @@ ORDERED_SEVEN_VERTEX_COUNT = 37373
 PARTITION_DIGEST = "db622f9d3c7db921aafcf62fe0a817f3ab49c43839bb35850b999442d0630e94"
 
 RAINBOW_K3 = EdgeColoring(3, (0, 1, 2))
-
-
-def unfiltered_reference(n):
-    """Every restricted-growth coloring of K_n, filtered afterwards."""
-    m = n * (n - 1) // 2
-
-    def rec(i, used, colors):
-        if i == m:
-            coloring = EdgeColoring(n, tuple(colors))
-            if is_gallai(coloring):
-                yield coloring
-            return
-        for a in range(used + 1):
-            colors.append(a)
-            yield from rec(i + 1, max(used, a + 1), colors)
-            colors.pop()
-
-    yield from rec(0, 0, [])
-
-
-def naive_enumeration_stats(n):
-    """Count and sequence set recounted from each enumerated coloring."""
-    count = 0
-    sequences = set()
-    for c in enumerate_gallai(n):
-        count += 1
-        sequences.add(tuple(sorted(color_degrees(c))))
-    return EnumerationStats(n=n, count=count, sequences=frozenset(sequences))
-
-
-def key_ordered(coloring):
-    """Whether the vertices come in nondecreasing order of (color degree,
-    sorted color counts)."""
-    keys = []
-    for v, row in enumerate(coloring.rows()):
-        tally = Counter(c for w, c in enumerate(row) if w != v)
-        keys.append((len(tally), sorted(tally.values())))
-    return keys == sorted(keys)
-
-
-def naive_partitions(n):
-    """Every partition of range(n) into two or more parts, by part count and
-    then by restricted-growth string: all strings built unpruned, then
-    sorted."""
-    strings = [[0]]
-    for _ in range(1, n):
-        strings = [s + [a] for s in strings for a in range(max(s) + 2)]
-    for s in sorted(strings, key=lambda s: (max(s), s)):
-        if max(s) > 0:
-            yield [[v for v in range(n) if s[v] == a] for a in range(max(s) + 1)]
-
-
-def naive_gallai_partition(coloring):
-    """Reference for ``brute_force_gallai_partition``: a flag and a double
-    break over the part pairs of each ``naive_partitions`` candidate."""
-    n = coloring.n
-    if n < 2:
-        raise ValueError("need at least two vertices")
-    if n > PARTITION_SIZE_LIMIT:
-        raise SizeGuardError(f"n={n} exceeds the partition limit {PARTITION_SIZE_LIMIT}")
-    witness = find_rainbow_triangle(coloring)
-    if witness is not None:
-        raise NotGallaiError(witness)
-    rows = coloring.rows()
-    for parts in naive_partitions(n):
-        cross_colors = set()
-        part_pair_color = {}
-        ok = True
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                joining = {rows[u][v] for u in parts[i] for v in parts[j]}
-                if len(joining) != 1:
-                    ok = False
-                    break
-                color = joining.pop()
-                part_pair_color[(i, j)] = color
-                cross_colors.add(color)
-                if len(cross_colors) > 2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return GallaiPartition(
-                parts=tuple(tuple(p) for p in parts),
-                cross_colors=frozenset(cross_colors),
-                part_pair_color=part_pair_color,
-            )
-    raise InternalConsistencyError("no valid partition found for a rainbow-free coloring")
-
-
-def partition_outcome(function, coloring):
-    """The partition found, or the type and message of what was raised."""
-    try:
-        return function(coloring)
-    except (ValueError, InternalConsistencyError) as exc:
-        return type(exc), str(exc)
 
 
 class TestEnumerate:
@@ -203,14 +109,11 @@ class TestEnumerate:
             enumerate_gallai(7)
         with pytest.raises(ValueError):
             enumerate_gallai(0)
-        with pytest.raises(SizeGuardError):
-            enumeration_stats(7)
 
     def test_stats(self, enumerated):
-        stats = enumeration_stats(4)
-        assert stats.n == 4
-        assert stats.count == GALLAI_COUNTS[4]
-        assert stats.sequences == {
+        # the public ways to count the colorings and to collect their sequences
+        assert sum(1 for _ in enumerate_gallai(4)) == GALLAI_COUNTS[4]
+        assert crosscheck(4).realizable == {
             tuple(sorted(color_degrees(c))) for c in enumerated[4]
         }
 
@@ -220,20 +123,23 @@ class TestEnumerate:
 
 
 class TestEnumerationStats:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_naive(self, n):
-        assert enumeration_stats(n) == naive_enumeration_stats(n)
+        assert naive_enumeration_stats(n) == EnumerationStats(
+            n=n, count=GALLAI_COUNTS[n], sequences=_ordered_stats(n).sequences
+        )
 
     def test_six_vertices_frozen(self):
-        stats = enumeration_stats(6)
+        stats = naive_enumeration_stats(6)
         assert stats.count == SIX_VERTEX_COUNT
         assert len(stats.sequences) == SIX_VERTEX_SEQUENCES
+        assert len(_ordered_stats(6).sequences) == SIX_VERTEX_SEQUENCES
 
 
 class TestRealizableSequences:
     def test_frozen_small_sets(self):
-        assert enumeration_stats(3).sequences == {(1, 1, 1), (1, 2, 2)}
-        assert enumeration_stats(4).sequences == {
+        assert _ordered_stats(3).sequences == {(1, 1, 1), (1, 2, 2)}
+        assert _ordered_stats(4).sequences == {
             (1, 1, 1, 1),
             (1, 1, 2, 2),
             (1, 2, 2, 2),
@@ -242,10 +148,10 @@ class TestRealizableSequences:
         }
 
     def test_five_vertices_count(self):
-        assert len(enumeration_stats(5).sequences) == 11
+        assert len(_ordered_stats(5).sequences) == 11
 
     def test_known_exclusion(self):
-        assert (1, 1, 3, 3) not in enumeration_stats(4).sequences
+        assert (1, 1, 3, 3) not in _ordered_stats(4).sequences
 
 
 class TestCandidates:
@@ -288,9 +194,7 @@ class TestCrosscheck:
 class TestOrderedSweep:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_sequences_match_full_walk(self, n):
-        assert _ordered_stats(n).sequences == enumeration_stats(n).sequences == (
-            naive_enumeration_stats(n).sequences
-        )
+        assert _ordered_stats(n).sequences == naive_enumeration_stats(n).sequences
 
     def test_counts_the_key_ordered_colorings(self, enumerated):
         for n in range(1, 6):
@@ -312,7 +216,7 @@ class TestOrderedSweep:
             raise AssertionError("walked")
 
         monkeypatch.setattr("gallai.oracle._ordered_stats", walked)
-        monkeypatch.setattr("gallai.oracle._walk", walked)
+        monkeypatch.setattr("gallai.oracle.enumerate_gallai", walked)
         with pytest.raises(ValueError, match="must be >= 1"):
             crosscheck(0)
         with pytest.raises(SizeGuardError):
@@ -396,7 +300,7 @@ class TestGallaiPartitionMatchesOracle:
     def test_enumerated(self, enumerated):
         for n in range(1, 6):
             for coloring in enumerated[n]:
-                assert partition_outcome(brute_force_gallai_partition, coloring) == partition_outcome(
+                assert outcome(brute_force_gallai_partition, coloring) == outcome(
                     naive_gallai_partition, coloring
                 )
 
@@ -407,7 +311,7 @@ class TestGallaiPartitionMatchesOracle:
             n = rng.randint(2, 7)
             k = rng.randint(1, 3)
             coloring = EdgeColoring(n, tuple(rng.randrange(k) for _ in range(n * (n - 1) // 2)))
-            expected = partition_outcome(naive_gallai_partition, coloring)
-            assert partition_outcome(brute_force_gallai_partition, coloring) == expected
+            expected = outcome(naive_gallai_partition, coloring)
+            assert outcome(brute_force_gallai_partition, coloring) == expected
             found += isinstance(expected, GallaiPartition)
         assert 0 < found < 500

@@ -27,72 +27,16 @@ from gallai import (
 )
 from gallai.construct import monochromatic_coloring
 from gallai.structure import compression_degree_bounds
-from test_coloring import colorings, few_color_colorings, recolored
+from oracles import (
+    colorings,
+    few_color_colorings,
+    naive_prefix_color_bound_report,
+    naive_recover_chain_order,
+    outcome,
+    recolored,
+)
 
 RAINBOW_K3 = EdgeColoring(3, (0, 1, 2))
-
-
-def naive_prefix_color_bound_report(coloring):
-    """Oracle: rebuild the back-color set of every (k, i) from scratch."""
-    degrees = color_degrees(coloring)
-    order = sorted(range(coloring.n), key=lambda v: (degrees[v], v))
-    n = len(order)
-    for k in range(2, n + 1):
-        bound = degrees[order[k - 2]]
-        for i in range(k, n + 1):
-            v = order[i - 1]
-            back_colors = {coloring.color(v, order[p]) for p in range(k - 1)}
-            if len(back_colors) > bound:
-                return (False, (k, i))
-    return (True, None)
-
-
-def naive_recover_chain_order(coloring):
-    """Reference for ``recover_chain_order``: sorts the row by win count and
-    checks the row degrees 1, 2, ..., n-1 before returning."""
-    n = coloring.n
-    if n < 2:
-        raise ValueError("need at least two vertices")
-    rows = coloring.rows()
-    degrees = color_degrees(coloring)
-    apexes = [v for v in range(n) if degrees[v] == n - 1]
-    if not apexes:
-        raise ValueError(f"no vertex of color degree {n - 1}")
-    apex = max(apexes)
-    rest = [v for v in range(n) if v != apex]
-    apex_row = rows[apex]
-    wins = {v: 0 for v in rest}
-    for idx, i in enumerate(rest):
-        for j in rest[idx + 1 :]:
-            c = rows[i][j]
-            if c == apex_row[i]:
-                wins[i] += 1
-            elif c == apex_row[j]:
-                wins[j] += 1
-            else:
-                raise InternalConsistencyError(
-                    f"edge ({i}, {j}) matches neither apex color; "
-                    "rainbow triangle with the apex"
-                )
-    order = tuple(sorted(rest, key=lambda v: (-wins[v], v)))
-    for idx, i in enumerate(order):
-        for j in order[idx + 1 :]:
-            if rows[i][j] != apex_row[i]:
-                raise InternalConsistencyError("tournament is not transitive")
-    for pos, v in enumerate(order, start=1):
-        if degrees[v] != pos:
-            raise InternalConsistencyError(
-                f"row vertex {v} has degree {degrees[v]}, expected {pos}"
-            )
-    return ChainOrder(apex=apex, order=order)
-
-
-def outcome(function, coloring):
-    """The result of a call, or the type and message of what it raised."""
-    try:
-        return function(coloring)
-    except (ValueError, InternalConsistencyError) as exc:
-        return type(exc), str(exc)
 
 
 def relabelled(coloring, perm):
