@@ -35,7 +35,6 @@ from .document import (
 from .errors import (
     DocumentError,
     GallaiError,
-    IllDefinedMergeError,
     InfeasibleSequenceError,
     InternalConsistencyError,
     MalformedSequenceError,

@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     out = (lambda line: None) if args.quiet else print
     try:
         return args.func(args, out)
-    except (ValueError, OSError) as exc:  # malformed input, size guards, unreadable files
+    except (ValueError, OSError, OverflowError) as exc:  # malformed input, size guards, unreadable files, huge degrees
         _fail(str(exc))
         return 2
 

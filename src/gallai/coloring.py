@@ -55,7 +55,7 @@ class EdgeColoring:
     def _index(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u
-        if u < 0 or v >= self.n or u == v:
+        if type(u) is not int or type(v) is not int or u < 0 or v >= self.n or u == v:
             raise ValueError(f"invalid vertex pair ({u}, {v}) for n={self.n}")
         return u * self.n - u * (u + 1) // 2 + (v - u - 1)
 

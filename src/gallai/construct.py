@@ -27,7 +27,7 @@ from typing import Sequence
 
 # color_degrees stays importable here: the benchmark's tracer wraps it.
 from .coloring import EdgeColoring, color_degrees, normalize_colors  # noqa: F401
-from .errors import InfeasibleSequenceError, InternalConsistencyError, SizeGuardError, preview
+from .errors import InfeasibleSequenceError, InternalConsistencyError, SizeGuardError, preview, require_count
 from .feasibility import check_sequence
 
 # Most vertices of a coloring built from a number: K_4096 has 8,386,560
@@ -44,8 +44,7 @@ class DuplicationChoice(enum.Enum):
 
 def monochromatic_coloring(n: int) -> EdgeColoring:
     """All edges of K_n in color 0; every color degree is 1 (0 for K_1)."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
+    require_count(n, 1, "vertex count")
     return EdgeColoring(n, (0,) * (n * (n - 1) // 2))
 
 
@@ -78,7 +77,7 @@ def duplicate_vertex(
     if not isinstance(choice, DuplicationChoice):
         raise ValueError(f"choice must be a DuplicationChoice, got {choice!r}")
     n = coloring.n
-    if not 0 <= v < n:
+    if type(v) is not int or not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range for n={n}")
     rows = coloring.rows()
     if choice is DuplicationChoice.EXISTING_COLOR:
@@ -153,8 +152,7 @@ def chain_coloring(n: int) -> EdgeColoring:
     Color u first shows at pair (u, u+1), so the colors are already
     normalized.  n is at most MAX_VERTICES.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
+    require_count(n, 1, "vertex count")
     if n > MAX_VERTICES:
         raise SizeGuardError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
     colors = []
@@ -177,8 +175,7 @@ def uniform_coloring(d: int) -> EdgeColoring:
     The vertex limit MAX_VERTICES = 2^12 caps d at 12 (8.4 million edges).
     """
     limit = MAX_VERTICES.bit_length() - 1
-    if d < 0:
-        raise ValueError(f"bit count must be >= 0, got {d}")
+    require_count(d, 0, "bit count")
     if d > limit:
         raise SizeGuardError(f"bit count {d} exceeds limit {limit}")
     n = 1 << d

@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes: malformed input and size-guard
 violations are usage errors (exit 2), infeasibility and rainbow triangles
-are semantic negatives (exit 1), and internal-consistency failures mean a
-proven statement was observed to fail, i.e. a bug.
+are semantic negatives (exit 1).  NotGallaiError is the one refusal of
+rainbow input; no input raises InternalConsistencyError, so it means a bug.
 
 Messages never echo unbounded input: sequences are shown through
 ``preview``, which keeps a fixed prefix and states the entry count, and
@@ -48,6 +48,14 @@ def clip(text: str) -> str:
     return shown
 
 
+def require_count(value, low: int, what: str) -> None:
+    """Raise ValueError unless ``value`` is an int >= low; a bool is refused."""
+    if value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 class GallaiError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -73,8 +81,8 @@ class SizeGuardError(GallaiError, ValueError):
 
 
 class NotGallaiError(GallaiError, ValueError):
-    """An operation requiring a rainbow-triangle-free coloring got one with
-    a rainbow triangle; carries the witness."""
+    """The one refusal of rainbow input: an operation needing a Gallai
+    coloring got one with a rainbow triangle, carried as ``witness``."""
 
     def __init__(self, witness):
         self.witness = witness
@@ -84,20 +92,10 @@ class NotGallaiError(GallaiError, ValueError):
         )
 
 
-class IllDefinedMergeError(GallaiError, ValueError):
-    """Component compression found an outside vertex seeing two distinct
-    colors into the component, so the merge is not well defined.
-
-    This can only happen when a precondition was violated (the split does
-    not belong to the coloring, or the coloring is not rainbow-free)."""
-
-
 class DocumentError(GallaiError, ValueError):
     """A coloring document failed to parse or violates the file schema."""
 
 
 class InternalConsistencyError(GallaiError, RuntimeError):
-    """A consequence of a proved statement failed on valid input.
-
-    Raised instead of returning garbage: seeing this means either the input
-    violated a precondition undetectably or there is a bug."""
+    """A consequence of a proved statement failed.  No input raises it, so
+    seeing it means a bug; it is raised instead of returning garbage."""

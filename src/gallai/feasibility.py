@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import MalformedSequenceError, preview
+from .errors import MalformedSequenceError, preview, require_count
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,5 @@ def check_sequence(values: Sequence[int]) -> FeasibilityReport:
 def min_degree_upper_bound(n: int) -> int:
     """floor(log2 n): every Gallai coloring of K_n has a vertex of color
     degree at most this."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_count(n, 1, "n")
     return n.bit_length() - 1

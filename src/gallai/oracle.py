@@ -39,7 +39,7 @@ from typing import Iterator
 
 # color_degrees stays importable here: the benchmark's tracer wraps it.
 from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle  # noqa: F401
-from .errors import InternalConsistencyError, NotGallaiError, SizeGuardError
+from .errors import InternalConsistencyError, NotGallaiError, SizeGuardError, require_count
 from .feasibility import check_sequence
 
 # n = 6: 44,300 colorings, which enumerate_gallai yields in about 0.3 s;
@@ -94,8 +94,7 @@ class GallaiPartition:
 
 
 def _check_size(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_count(n, 1, "n")
     if n > ENUMERATION_SIZE_LIMIT:
         raise SizeGuardError(
             f"n={n} exceeds the enumeration limit {ENUMERATION_SIZE_LIMIT}"

@@ -6,7 +6,8 @@ such a color looks monochromatic from outside: every vertex w outside A
 sees all of A in a single color, so A can be compressed into one node.
 Colorings containing a vertex adjacent to all distinct colors (an apex)
 are rigid: the remaining vertices order themselves into a transitive
-tournament whose row degrees are 1, 2, ..., n-1.
+tournament whose row degrees are 1, 2, ..., n-1.  Where either fails,
+the input has a rainbow triangle, and NotGallaiError names one.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 # color_degrees stays importable here: the benchmark's tracer wraps it.
-from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle, row_degrees  # noqa: F401
-from .errors import IllDefinedMergeError, InternalConsistencyError, NotGallaiError
+from .coloring import EdgeColoring, RainbowWitness, color_degrees, find_rainbow_triangle, row_degrees  # noqa: F401
+from .errors import NotGallaiError
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class CompressionResult:
 def color_component_split(coloring: EdgeColoring, color: int) -> ColorComponentSplit | None:
     """Component structure of one color's spanning subgraph, or None if the
     subgraph is connected.  The color must appear in the coloring."""
-    if color not in coloring.color_set():
+    if type(color) is not int or color not in coloring.color_set():
         raise ValueError(f"color {color} does not appear in the coloring")
     return _split(coloring.rows(), color)
 
@@ -79,6 +80,12 @@ def _split(rows: list[list[int]], color: int) -> ColorComponentSplit | None:
     if len(components) < 2:
         return None
     return ColorComponentSplit(color, tuple(components))
+
+
+def _witness(rows: list[list[int]], *triangle: int) -> RainbowWitness:
+    """The triangle on three vertices, its colors read off the rows."""
+    i, j, k = sorted(triangle)
+    return RainbowWitness((i, j, k), (rows[i][j], rows[i][k], rows[j][k]))
 
 
 def find_disconnected_color(coloring: EdgeColoring) -> ColorComponentSplit | None:
@@ -114,7 +121,7 @@ def compress_component(
     rows = coloring.rows()
     if split.color not in coloring.color_set() or _split(rows, split.color) != split:
         raise ValueError("split does not match the coloring")
-    if not 0 <= which < len(split.components):
+    if type(which) is not int or not 0 <= which < len(split.components):
         raise ValueError(f"component index {which} out of range")
     merged = set(split.components[which])
     # never empty: the split was checked above, and _split returns >= 2 parts
@@ -126,10 +133,11 @@ def compress_component(
         row = rows[w]
         into = {row[a] for a in merged}
         if len(into) != 1:
-            raise IllDefinedMergeError(
-                f"vertex {w} sees colors {sorted(into)} into the component; "
-                "was the split taken from a rainbow-free coloring?"
-            )
+            # split.color connects the component and has no edge to w, so one
+            # of its edges (a, b) in the component has c(w, a) != c(w, b)
+            comp = split.components[which]
+            a, b = next((a, b) for a in comp for b in comp if rows[a][b] == split.color and row[a] != row[b])
+            raise NotGallaiError(_witness(rows, w, a, b))
         c = into.pop()
         outside_colors.append(c)
         reduced_rows.append([row[x] for x in outside] + [c])
@@ -193,10 +201,7 @@ def recover_chain_order(coloring: EdgeColoring) -> ChainOrder:
         row_i = rows[i]
         for j in rest[idx + 1 :]:
             if row_i[j] != apex_row[i] and row_i[j] != apex_row[j]:
-                raise InternalConsistencyError(
-                    f"edge ({i}, {j}) matches neither apex color; "
-                    "rainbow triangle with the apex"
-                )
+                raise NotGallaiError(_witness(rows, i, j, apex))
 
     order = tuple(sorted(rest, key=lambda v: (degrees[v], v)))
     # apex colors are pairwise distinct, so i -> j exactly when the edge
@@ -205,7 +210,9 @@ def recover_chain_order(coloring: EdgeColoring) -> ChainOrder:
         row_i, own = rows[i], apex_row[i]
         for j in order[idx + 1 :]:
             if row_i[j] != own:
-                raise InternalConsistencyError("tournament is not transitive")
+                # j -> i: unless some i -> k -> j, j has fewer in-edges than i
+                k = next(k for k in rest if row_i[k] == own and rows[k][j] == apex_row[k])
+                raise NotGallaiError(_witness(rows, i, j, k))
     return ChainOrder(apex=apex, order=order)
 
 

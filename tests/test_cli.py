@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, reports, files, and stability."""
 
+import importlib
 import os
 import random
 import subprocess
@@ -456,6 +457,15 @@ class TestModuleEntry:
             )
             assert proc.returncode == 0, module
             assert "verdict: feasible" in proc.stdout, module
+
+    def test_console_script_names_a_callable(self):
+        # the `gallai` command that pip installs runs what [project.scripts] names
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        with (SRC.parent / "pyproject.toml").open("rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert scripts == {"gallai": "gallai.cli:entry"}
+        module, attribute = scripts["gallai"].split(":")
+        assert callable(getattr(importlib.import_module(module), attribute))
 
 
 class TestSuccessiveCalls:

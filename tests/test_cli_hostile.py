@@ -273,8 +273,25 @@ def test_any_argument_list(argv):
     run(argv)
 
 
+# Degrees of 20 digits overflow the shift in check_sequence at once.  From
+# about 10^10 up to there the shift asks for gigabytes first, so no test
+# runs those degrees in-process.
+TWENTY_DIGITS = "1,99999999999999999999,99999999999999999999"
+
+
+@pytest.mark.parametrize("command", ["check", "construct"])
+def test_degree_past_any_shift_is_a_usage_error(command):
+    code, _, err = run([command, TWENTY_DIGITS])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 ITEM_4 = pytest.mark.xfail(
     strict=True, reason="ROADMAP item 4: a slack past the digit limit of str() exits 2"
+)
+ITEM_4_SHIFT = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 4: a degree past the shift limit exits 2"
 )
 
 
@@ -284,6 +301,7 @@ ITEM_4 = pytest.mark.xfail(
         pytest.param("1,20000,20000", marks=ITEM_4),
         pytest.param("1,1000000,1000000", marks=ITEM_4),
         pytest.param("1,100000000,100000000", marks=ITEM_4),
+        pytest.param(TWENTY_DIGITS, marks=ITEM_4_SHIFT),
     ],
 )
 def test_huge_degrees_are_infeasible(sequence):

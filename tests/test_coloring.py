@@ -6,14 +6,21 @@ import pytest
 from hypothesis import given
 
 from gallai import (
+    DuplicationChoice,
     EdgeColoring,
     RainbowWitness,
     brute_force_gallai_partition,
     chain_coloring,
+    color_component_split,
     color_degrees,
+    compress_component,
+    crosscheck,
+    duplicate_vertex,
+    enumerate_gallai,
     find_disconnected_color,
     find_rainbow_triangle,
     is_gallai,
+    min_degree_upper_bound,
     normalize_colors,
     render_document,
     uniform_coloring,
@@ -284,3 +291,32 @@ class TestNormalize:
         # color ids are exactly 0..C-1
         used = norm.color_set()
         assert used == set(range(len(used)))
+
+
+CHAIN_4 = chain_coloring(4)
+BOOL_ARGUMENTS = {
+    "vertex": (
+        lambda: duplicate_vertex(chain_coloring(3), True, DuplicationChoice.FRESH_COLOR),
+        "vertex True out of range for n=3",
+    ),
+    "vertex-pair": (lambda: EdgeColoring(3, (0, 1, 2)).color(True, 2), "invalid vertex pair (True, 2) for n=3"),
+    "bit-count": (lambda: uniform_coloring(True), "bit count must be an integer >= 0, got True"),
+    "bit-count-false": (lambda: uniform_coloring(False), "bit count must be an integer >= 0, got False"),
+    "vertex-count": (lambda: min_degree_upper_bound(True), "n must be an integer >= 1, got True"),
+    "crosscheck": (lambda: crosscheck(True), "n must be an integer >= 1, got True"),
+    # raised when called, before the first next()
+    "enumerate": (lambda: enumerate_gallai(True), "n must be an integer >= 1, got True"),
+    "color-id": (lambda: color_component_split(CHAIN_4, True), "color True does not appear in the coloring"),
+    "component-index": (
+        lambda: compress_component(CHAIN_4, color_component_split(CHAIN_4, 2), True),
+        "component index True out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", BOOL_ARGUMENTS.values(), ids=BOOL_ARGUMENTS.keys())
+def test_bool_is_refused_where_an_int_is_taken(call, message):
+    # bool is an int subclass, so each of these used to run as 0 or 1
+    with pytest.raises(ValueError) as refusal:
+        call()
+    assert str(refusal.value) == message

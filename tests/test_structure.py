@@ -11,9 +11,9 @@ from gallai import (
     ChainOrder,
     DuplicationChoice,
     EdgeColoring,
-    IllDefinedMergeError,
     InternalConsistencyError,
     NotGallaiError,
+    brute_force_gallai_partition,
     chain_coloring,
     color_component_split,
     color_degrees,
@@ -37,6 +37,44 @@ from oracles import (
 )
 
 RAINBOW_K3 = EdgeColoring(3, (0, 1, 2))
+
+# vertex 0 sees the color-2 component {2, 3} in two colors; only possible
+# because this coloring has a rainbow triangle
+ILL_DEFINED_MERGE = EdgeColoring.from_rows(
+    [
+        [-1,  0,  0,  1],
+        [ 0, -1,  0,  0],
+        [ 0,  0, -1,  2],
+        [ 1,  0,  2, -1],
+    ]
+)
+# apex 3 sees 0, 1, 2 in colors 0, 1, 2; edge (0, 1) has color 5
+EDGE_OUTSIDE_APEX_COLORS = EdgeColoring.from_rows(
+    [
+        [-1,  5,  0,  0],
+        [ 5, -1,  1,  1],
+        [ 0,  1, -1,  2],
+        [ 0,  1,  2, -1],
+    ]
+)
+# 0 -> 1 -> 2 -> 0: every vertex wins once, so no order is transitive
+CYCLIC_TOURNAMENT = EdgeColoring.from_rows(
+    [
+        [-1,  0,  2,  0],
+        [ 0, -1,  1,  1],
+        [ 2,  1, -1,  2],
+        [ 0,  1,  2, -1],
+    ]
+)
+
+
+def assert_rainbow(coloring, witness):
+    """The witness is a rainbow triangle of the coloring, in the form
+    find_rainbow_triangle reports one."""
+    i, j, k = witness.vertices
+    assert i < j < k
+    assert witness.colors == (coloring.color(i, j), coloring.color(i, k), coloring.color(j, k))
+    assert len(set(witness.colors)) == 3
 
 
 def relabelled(coloring, perm):
@@ -153,19 +191,11 @@ class TestCompressComponent:
             compress_component(base, split, 3)
 
     def test_ill_defined_merge_detected(self):
-        # vertex 0 sees the color-2 component {2, 3} in two colors; only
-        # possible because this coloring has a rainbow triangle
-        bad = EdgeColoring.from_rows(
-            [
-                [-1,  0,  0,  1],
-                [ 0, -1,  0,  0],
-                [ 0,  0, -1,  2],
-                [ 1,  0,  2, -1],
-            ]
-        )
-        split = color_component_split(bad, 2)
-        with pytest.raises(IllDefinedMergeError):
-            compress_component(bad, split, 2)
+        split = color_component_split(ILL_DEFINED_MERGE, 2)
+        with pytest.raises(NotGallaiError) as refusal:
+            compress_component(ILL_DEFINED_MERGE, split, 2)
+        witness = refusal.value.witness
+        assert (witness.vertices, witness.colors) == ((0, 2, 3), (0, 1, 2))
 
     def test_gallai_compressions_stay_gallai(self, enumerated):
         for n in (2, 3, 4):
@@ -271,33 +301,36 @@ class TestRecoverChainOrderChecks:
         assert order == tuple(perm[:28]) + (min(top),)
 
     def test_edge_outside_apex_colors(self):
-        # apex 3 sees 0, 1, 2 in colors 0, 1, 2; edge (0, 1) has color 5
-        bad = EdgeColoring.from_rows(
-            [
-                [-1,  5,  0,  0],
-                [ 5, -1,  1,  1],
-                [ 0,  1, -1,  2],
-                [ 0,  1,  2, -1],
-            ]
-        )
+        # the edge is rainbow together with the apex
         with pytest.raises(
-            InternalConsistencyError,
-            match=r"^edge \(0, 1\) matches neither apex color; rainbow triangle with the apex$",
-        ):
-            recover_chain_order(bad)
+            NotGallaiError,
+            match=r"^coloring contains rainbow triangle \(0, 1, 3\) with colors \(5, 0, 1\)$",
+        ) as refusal:
+            recover_chain_order(EDGE_OUTSIDE_APEX_COLORS)
+        witness = refusal.value.witness
+        assert (witness.vertices, witness.colors) == ((0, 1, 3), (5, 0, 1))
 
     def test_cyclic_tournament(self):
-        # 0 -> 1 -> 2 -> 0: every vertex wins once, so no order is transitive
-        bad = EdgeColoring.from_rows(
-            [
-                [-1,  0,  2,  0],
-                [ 0, -1,  1,  1],
-                [ 2,  1, -1,  2],
-                [ 0,  1,  2, -1],
-            ]
-        )
-        with pytest.raises(InternalConsistencyError, match="^tournament is not transitive$"):
-            recover_chain_order(bad)
+        # the first back edge (0, 2) and 0 -> 1 -> 2 carry three apex colors
+        with pytest.raises(NotGallaiError) as refusal:
+            recover_chain_order(CYCLIC_TOURNAMENT)
+        witness = refusal.value.witness
+        assert (witness.vertices, witness.colors) == ((0, 1, 2), (0, 2, 1))
+
+
+def chain_order_outcome(coloring):
+    """``outcome`` of recover_chain_order, checked against the reference's:
+    where the reference finds no order (InternalConsistencyError), the
+    function refuses the coloring with a rainbow triangle; every other
+    outcome, ValueError messages included, is the reference's."""
+    expected = outcome(naive_recover_chain_order, coloring)
+    if expected[0] is InternalConsistencyError:
+        with pytest.raises(NotGallaiError) as refusal:
+            recover_chain_order(coloring)
+        assert_rainbow(coloring, refusal.value.witness)
+    else:
+        assert outcome(recover_chain_order, coloring) == expected
+    return expected
 
 
 class TestRecoverChainOrderMatchesOracle:
@@ -311,23 +344,53 @@ class TestRecoverChainOrderMatchesOracle:
             colors = list(relabelled(chain_coloring(n), rng.sample(range(n), n)).colors)
             for _ in range(rng.randint(0, 3)):
                 colors[rng.randrange(len(colors))] = rng.randrange(n + 1)
-            coloring = EdgeColoring(n, tuple(colors))
-            expected = outcome(naive_recover_chain_order, coloring)
-            assert outcome(recover_chain_order, coloring) == expected
+            expected = chain_order_outcome(EdgeColoring(n, tuple(colors)))
             kinds.add(expected[1].split()[0] if isinstance(expected[0], type) else "order")
         # every exit of the function is reached
         assert kinds == {"order", "no", "edge", "tournament"}
 
     @given(colorings(max_n=7))
     def test_random_colorings(self, coloring):
-        assert outcome(recover_chain_order, coloring) == outcome(naive_recover_chain_order, coloring)
+        chain_order_outcome(coloring)
 
     def test_every_enumerated_coloring(self, enumerated):
         for n in range(1, 6):
             for coloring in enumerated[n]:
-                assert outcome(recover_chain_order, coloring) == outcome(
-                    naive_recover_chain_order, coloring
-                )
+                chain_order_outcome(coloring)
+
+
+@given(colorings(max_n=7))
+@example(RAINBOW_K3)
+@example(ILL_DEFINED_MERGE)
+@example(EDGE_OUTSIDE_APEX_COLORS)
+@example(CYCLIC_TOURNAMENT)
+def test_rainbow_input_is_refused_with_a_witness(coloring):
+    """Every structure function and the partition search, on any coloring,
+    return or raise ValueError; a NotGallaiError names a rainbow triangle
+    of the coloring.  InternalConsistencyError, which is not a ValueError,
+    fails the test.  Every component of every color is compressed, since
+    find_disconnected_color refuses rainbow input before splitting it."""
+    calls = [
+        (function, (coloring,))
+        for function in (
+            find_disconnected_color,
+            recover_chain_order,
+            prefix_color_bound_report,
+            brute_force_gallai_partition,
+        )
+    ]
+    for color in sorted(coloring.color_set()):
+        split = color_component_split(coloring, color)
+        for which in range(len(split.components) if split else 0):
+            args = (coloring, split, which)
+            calls += [(compress_component, args), (compression_degree_bounds, args)]
+    for function, args in calls:
+        try:
+            function(*args)
+        except NotGallaiError as refusal:
+            assert_rainbow(coloring, refusal.witness)
+        except ValueError:
+            pass
 
 
 class TestPrefixColorBound:
