@@ -70,9 +70,7 @@ def _report_lines(report: FeasibilityReport) -> list[str]:
         for k in range(1, report.n + 1)
     ]
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(3)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(f.rjust(w) for f, w in zip(row, widths)))
+    lines = ["  ".join(f.rjust(w) for f, w in zip(row, widths)) for row in [header, *rows]]
     verdict = "feasible" if report.feasible else f"infeasible (first violation at k={report.first_violation})"
     return lines + [f"verdict: {verdict}"]
 

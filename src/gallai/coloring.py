@@ -53,11 +53,12 @@ class EdgeColoring:
             raise ValueError(f"color ids must be nonnegative integers, got {bad!r}")
 
     def _index(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        if type(u) is not int or type(v) is not int or u < 0 or v >= self.n or u == v:
-            raise ValueError(f"invalid vertex pair ({u}, {v}) for n={self.n}")
-        return u * self.n - u * (u + 1) // 2 + (v - u - 1)
+        if type(u) is int and type(v) is int and u != v:
+            if u > v:
+                u, v = v, u
+            if u >= 0 and v < self.n:
+                return u * self.n - u * (u + 1) // 2 + (v - u - 1)
+        raise ValueError(f"invalid vertex pair ({u}, {v}) for n={self.n}")
 
     def color(self, u: int, v: int) -> int:
         """Color of the edge {u, v}; symmetric in its arguments."""

@@ -8,15 +8,14 @@ incident colors keeps both degrees at deg(v); choosing a fresh color raises
 both to deg(v) + 1.
 
 ``realize`` runs this in two loops.  The schedule loop peels the sorted
-sequence: with maximum t of multiplicity m it drops one copy of t when m is
-odd, or replaces two copies of t by one t-1 when m is even, and records the
-duplication that undoes the step.  Feasibility of the input guarantees
-every intermediate sequence stays feasible, so the peeling ends at a single
-vertex or an all-ones sequence.  The replay loop starts from that base
+sequence: with maximum t >= 2 of multiplicity m it drops one copy of t when
+m is odd, or replaces two copies of t by one t-1 when m is even, and
+records the duplication that undoes the step.  The peel decides
+feasibility: it finishes, at all ones on two or more vertices or at (0,),
+exactly when the input is feasible.  The replay loop starts from that base
 coloring, held as symmetric rows, and applies the recorded duplications
 newest first; each appends one row and one entry per row and updates only
-the two degrees that change.  That is O(n) per step and O(n^2) in total,
-the size of the output, with no recursion.
+the two degrees that change: O(n) per step, O(n^2) in total, no recursion.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from typing import Sequence
 
 # color_degrees stays importable here: the benchmark's tracer wraps it.
 from .coloring import EdgeColoring, color_degrees, normalize_colors  # noqa: F401
-from .errors import InfeasibleSequenceError, InternalConsistencyError, SizeGuardError, preview, require_count
-from .feasibility import check_sequence
+from .errors import InfeasibleSequenceError, InternalConsistencyError, SizeGuardError, require_count
+from .feasibility import check_sequence, validate_sequence
 
 # Most vertices of a coloring built from a number: K_4096 has 8,386,560
 # edges, what uniform_coloring(12) builds; memory grows as n^2.
@@ -94,33 +93,32 @@ def realize(values: Sequence[int]) -> EdgeColoring:
     """Produce a normalized Gallai coloring whose sorted color degrees equal
     the given feasible sequence.
 
-    Raises InfeasibleSequenceError (carrying the slack report) otherwise,
-    and SizeGuardError for a feasible sequence longer than MAX_VERTICES.
-    The construction is deterministic; no promise is made about which of
-    the many realizations it returns beyond degree-sequence correctness.
-    Time and memory are O(n^2).
+    Raises InfeasibleSequenceError (carrying the slack report) when the peel
+    is stuck, and SizeGuardError for a feasible sequence longer than
+    MAX_VERTICES.  A stuck peel's input is infeasible: a feasible sequence
+    peels to feasible ones, and a stuck end fails its last suffix
+    inequality.  Conversely a finished peel replays into a Gallai coloring
+    (duplication soundness), so the paper's necessity direction makes its
+    input feasible.  Deterministic; time and memory are O(n^2).
     """
-    report = check_sequence(values)
-    if not report.feasible:
-        raise InfeasibleSequenceError(report)
-    if report.n > MAX_VERTICES:
-        raise SizeGuardError(f"n={report.n} exceeds the vertex limit {MAX_VERTICES}")
-    seq = list(report.values)
+    given = validate_sequence(values)
+    seq = list(given)
     # Schedule: (degree of the vertex to clone, bridge choice), oldest first.
     steps: list[tuple[int, DuplicationChoice]] = []
-    while len(seq) > 1 and seq[-1] > 1:
-        n, t = len(seq), seq[-1]
-        m = n - bisect_left(seq, t)
-        if m < 2:
-            raise InternalConsistencyError(
-                f"feasible sequence {preview(seq)} has a unique maximum"
-            )
+    while len(seq) > 1 and (t := seq[-1]) > 1:
+        m = len(seq) - bisect_left(seq, t)
+        if m == 1:
+            break
         if m % 2 == 1:
             steps.append((t, DuplicationChoice.EXISTING_COLOR))
         else:
-            seq[n - m] = t - 1
+            seq[-m] = t - 1
             steps.append((t - 1, DuplicationChoice.FRESH_COLOR))
         seq.pop()
+    if seq != [0] and (len(seq) == 1 or seq[-1] > 1):
+        raise InfeasibleSequenceError(check_sequence(given))
+    if len(given) > MAX_VERTICES:
+        raise SizeGuardError(f"n={len(given)} exceeds the vertex limit {MAX_VERTICES}")
 
     # Replay from the base: K_1, or K_n in color 0 for the all-ones sequence.
     rows = monochromatic_coloring(len(seq)).rows()

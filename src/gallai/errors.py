@@ -11,6 +11,7 @@ text through ``clip``, which keeps a fixed prefix and states its length.
 """
 
 import re
+from contextlib import suppress
 
 PREVIEW_ENTRIES = 8
 PREVIEW_CHARS = 80
@@ -50,8 +51,9 @@ def clip(text: str) -> str:
 
 def require_count(value, low: int, what: str) -> None:
     """Raise ValueError unless ``value`` is an int >= low; a bool is refused."""
-    if value < low:
-        raise ValueError(f"{what} must be >= {low}, got {value}")
+    with suppress(TypeError):  # None, "3": no order with ints, so not too small
+        if value < low:
+            raise ValueError(f"{what} must be >= {low}, got {value}")
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
 

@@ -229,11 +229,11 @@ def _ordered_stats(n: int) -> EnumerationStats:
 
 def candidate_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """All nondecreasing candidate sequences of length n with entries in
-    [1, n-1]; for n = 1 the only candidate is (0,)."""
+    [1, n-1]; for n = 1 the only candidate is (0,).  Checks n when called."""
+    require_count(n, 1, "n")
     if n == 1:
-        yield (0,)
-        return
-    yield from itertools.combinations_with_replacement(range(1, n), n)
+        return iter([(0,)])
+    return itertools.combinations_with_replacement(range(1, n), n)
 
 
 def crosscheck(n: int) -> CrosscheckResult:

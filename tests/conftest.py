@@ -5,10 +5,24 @@ A terminal-summary hook prints one PASS/FAIL line per acceptance criterion
 at the end of every run.
 """
 
+import warnings
+from contextlib import suppress
+
 import pytest
 from hypothesis import settings
 
 from gallai import enumerate_gallai
+
+pytest_plugins = ["pytester"]
+
+# When a property test fails, Hypothesis imports libcst to print an @example
+# patch.  libcst 1.0.1 then warns on mypy_extensions.TypedDict, and under
+# filterwarnings = ["error"] that warning ends the run with INTERNALERROR.
+# Importing libcst once here, with that warning ignored, leaves the failure
+# to be reported as one.  Where libcst is missing, Hypothesis skips the patch.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.filterwarnings("ignore", category=DeprecationWarning)
+    import libcst  # noqa: F401
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")

@@ -306,6 +306,16 @@ BOOL_ARGUMENTS = {
     "crosscheck": (lambda: crosscheck(True), "n must be an integer >= 1, got True"),
     # raised when called, before the first next()
     "enumerate": (lambda: enumerate_gallai(True), "n must be an integer >= 1, got True"),
+    # a value that is no number: the message of a non-integer, not a TypeError
+    "bit-count-none": (lambda: uniform_coloring(None), "bit count must be an integer >= 0, got None"),
+    "vertex-count-str": (lambda: chain_coloring("3"), "vertex count must be an integer >= 1, got '3'"),
+    "n-str": (lambda: min_degree_upper_bound("3"), "n must be an integer >= 1, got '3'"),
+    "crosscheck-none": (lambda: crosscheck(None), "n must be an integer >= 1, got None"),
+    "enumerate-none": (lambda: enumerate_gallai(None), "n must be an integer >= 1, got None"),
+    "vertex-pair-none": (lambda: chain_coloring(3).color(None, 1), "invalid vertex pair (None, 1) for n=3"),
+    # a number below the least count keeps its message
+    "vertex-count-false": (lambda: chain_coloring(False), "vertex count must be >= 1, got False"),
+    "vertex-count-half": (lambda: chain_coloring(0.5), "vertex count must be >= 1, got 0.5"),
     "color-id": (lambda: color_component_split(CHAIN_4, True), "color True does not appear in the coloring"),
     "component-index": (
         lambda: compress_component(CHAIN_4, color_component_split(CHAIN_4, 2), True),
@@ -316,7 +326,8 @@ BOOL_ARGUMENTS = {
 
 @pytest.mark.parametrize("call, message", BOOL_ARGUMENTS.values(), ids=BOOL_ARGUMENTS.keys())
 def test_bool_is_refused_where_an_int_is_taken(call, message):
-    # bool is an int subclass, so each of these used to run as 0 or 1
+    # bool is an int subclass, so each bool here used to run as 0 or 1, and
+    # None or a string stopped in a comparison with TypeError
     with pytest.raises(ValueError) as refusal:
         call()
     assert str(refusal.value) == message

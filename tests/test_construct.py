@@ -26,11 +26,13 @@ from gallai import (
     render_dot,
     uniform_coloring,
 )
+from gallai import construct
 from gallai.construct import monochromatic_coloring
 from gallai.oracle import candidate_sequences
 from oracles import (
     duplication_sequence,
     feasible_sequences,
+    naive_check_sequence,
     naive_duplicate,
     naive_pairs,
     naive_realize,
@@ -220,6 +222,76 @@ class TestRealize:
         # one duplication per vertex; a recursive realize overflows the stack
         c = realize([11] * 2048)
         assert sorted(len(set(row)) - 1 for row in c.rows()) == [11] * 2048
+
+
+def peel_verdict(seq):
+    """``realize``'s refusal report for seq (None when it returns) and the
+    number of its calls to ``check_sequence``."""
+    calls = []
+
+    def counted(values):
+        calls.append(values)
+        return check_sequence(values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "check_sequence", counted)
+        try:
+            realize(seq)
+        except InfeasibleSequenceError as refusal:
+            return refusal.report, len(calls)
+    return None, len(calls)
+
+
+def assert_peel_decides(seq):
+    if naive_check_sequence(seq).feasible:
+        assert peel_verdict(seq) == (None, 0), seq
+    else:
+        assert peel_verdict(seq) == (check_sequence(seq), 1), seq
+
+
+@st.composite
+def near_feasible_sequences(draw, max_n=200):
+    """A feasible sequence of length <= max_n, or one with an entry moved
+    by one, where the verdict often flips."""
+    n = draw(st.integers(1, max_n))
+    seq = duplication_sequence(n, draw(st.randoms(use_true_random=False)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        seq[i] = max(1, seq[i] + draw(st.sampled_from((-1, 1))))
+        seq.sort()
+    return seq
+
+
+class TestPeelVerdict:
+    """``realize`` decides feasibility by its own peel and calls
+    ``check_sequence`` only to build the report of a stuck peel."""
+
+    def test_every_small_sequence(self):
+        # entries in [1, n + 1]: 17,576 sequences with n <= 8, of which 231 are
+        # feasible, plus (0,)
+        assert_peel_decides((0,))
+        for n in range(1, 9):
+            for seq in itertools.combinations_with_replacement(range(1, n + 2), n):
+                assert_peel_decides(seq)
+
+    @settings(max_examples=40)
+    @given(st.one_of(near_feasible_sequences(), st.lists(st.integers(1, 9), min_size=1, max_size=200).map(sorted)))
+    def test_agrees_with_the_oracle(self, seq):
+        assert_peel_decides(seq)
+
+    def test_generator_input(self):
+        assert realize(iter([1, 2, 3, 3])) == realize([1, 2, 3, 3])
+        with pytest.raises(InfeasibleSequenceError) as refusal:
+            realize(iter([1, 1, 3, 3]))
+        assert refusal.value.report == check_sequence([1, 1, 3, 3])
+
+    def test_size_guard_needs_no_report(self):
+        # the chain sequence: check_sequence would sum 10^5 slacks of up to 10^5 bits
+        chain = list(range(1, 10**5)) + [10**5 - 1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(construct, "check_sequence", None)  # a call raises TypeError
+            with pytest.raises(SizeGuardError, match=r"^n=100000 exceeds the vertex limit 4096$"):
+                realize(chain)
 
 
 class TestRealizeMatchesOracle:

@@ -159,6 +159,17 @@ class TestCandidates:
             (2, 2, 2),
         ]
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [(True, "n must be an integer >= 1, got True"), (0, "n must be >= 1, got 0"), (None, "n must be an integer >= 1, got None")],
+        ids=["bool", "zero", "none"],
+    )
+    def test_bad_count_is_refused_at_the_call(self, n, message):
+        # before the first next(): the call itself raises
+        with pytest.raises(ValueError) as refusal:
+            candidate_sequences(n)
+        assert str(refusal.value) == message
+
     def test_all_candidates_valid_shape(self):
         for seq in candidate_sequences(5):
             assert len(seq) == 5
