@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle
@@ -83,17 +82,21 @@ def _read_coloring(path: str) -> EdgeColoring:
         return parse_document(f.read())
 
 
+def _write(path: str, text: str, out: Callable[[str], None]) -> None:
+    with open(path, "w") as f:  # not Path: Path("") is ".", "" names no file
+        f.write(text)
+    out(f"wrote {path}")
+
+
 def _deliver(coloring: EdgeColoring, args, out: Callable[[str], None]) -> None:
-    """Write the coloring to --output or stdout, and optionally a DOT file."""
-    text = render_document(coloring)
-    if args.output:
-        Path(args.output).write_text(text)
-        out(f"wrote {args.output}")
+    """Write the coloring to --output or stdout, and optionally a DOT file;
+    a path given, even "", is written or refused."""
+    if args.output is None:
+        sys.stdout.write(render_document(coloring))
     else:
-        sys.stdout.write(text)
-    if args.dot:
-        Path(args.dot).write_text(render_dot(coloring))
-        out(f"wrote {args.dot}")
+        _write(args.output, render_document(coloring), out)
+    if args.dot is not None:
+        _write(args.dot, render_dot(coloring), out)
 
 
 def _emit_degrees(sorted_degrees: Sequence[int], args, out: Callable[[str], None]) -> None:
@@ -258,6 +261,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # The process runs under the interpreter's default digit limit, so that
+    # PYTHONINTMAXSTRDIGITS cannot change an exit; main() leaves it alone.
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     raise SystemExit(main())
 
 

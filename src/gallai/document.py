@@ -14,7 +14,10 @@ lexicographic order; parsers accept any order but demand exact coverage.
 Lines end at ``\n`` only; the ``\r`` of a CRLF line end is stripped as
 whitespace.  Every line but a ``#`` comment must be ASCII.  Lines starting
 with ``#`` and blank lines are ignored on input and never emitted, so
-rendering is byte-stable.
+rendering is byte-stable.  Numbers are read up to the interpreter's digit
+limit for ``int()``; the ``gallai`` command always runs under its default
+of 4,300 digits, so a longer color or count is refused there whatever
+PYTHONINTMAXSTRDIGITS says, while a library caller keeps its own limit.
 """
 
 from __future__ import annotations

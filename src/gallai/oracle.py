@@ -11,10 +11,11 @@ are the intersection of those pairs, at most two of them, and the node is
 cut when it is empty.  Only unconstrained edges may take a fresh color.
 
 ``crosscheck`` needs only the sorted degree sequences, so it runs a second
-copy of the walk that keeps only colorings whose vertices come in
-nondecreasing key order, the key being a vertex's color degree and then
-its sorted color counts.  The sweep carries, per vertex, a count of each
-incident color and the color degree: assigning c to (u, v) raises the
+copy of the walk, the sweep, that keeps only colorings whose vertices come
+in nondecreasing key order, the key being a vertex's color degree and then
+its sorted color counts.  The sweep hands each such leaf, its edge colors
+and its vertex degrees, to a function.  It carries, per vertex, a count of
+each incident color and the color degree: assigning c to (u, v) raises the
 counts of c at u and v and a degree whose count goes from 0 to 1, and
 backtracking undoes both, so keys compare and a leaf holds its degrees
 without a pass over its edges.  Relabeling vertices and colors leaves
@@ -22,9 +23,8 @@ every key as it is, and sorting the vertices by key puts any coloring in
 that order, so no sequence is lost; the leaf's degrees are already
 sorted.  A row stops as soon as its vertex can no longer reach the degree
 of the one before it.  At n = 6 the sweep visits 2,645 of the 44,300
-colorings and ``crosscheck(6)`` takes about 65 ms, against 170 ms when it
-read every coloring of the full walk; at n = 7 it visits 37,373 and takes
-about 2 s (2-vCPU VM, Python 3.11).
+colorings and ``crosscheck(6)`` takes about 65 ms; at n = 7 it visits
+37,373 and takes about 2 s (2-vCPU VM, Python 3.11).
 
 The enumeration, the crosscheck and the brute-force partition search are
 each small enough to serve as an independent referee for the analytic
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 # color_degrees stays importable here: the benchmark's tracer wraps it.
 from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle  # noqa: F401
@@ -48,17 +48,6 @@ from .feasibility import check_sequence
 # about 2 s at n = 7.
 ENUMERATION_SIZE_LIMIT = 6
 PARTITION_SIZE_LIMIT = 10
-
-
-@dataclass(frozen=True)
-class EnumerationStats:
-    """Count of the Gallai colorings of K_n that crosscheck's sweep visits
-    up to color relabeling, those in vertex key order, plus the set of
-    sorted degree sequences they realize."""
-
-    n: int
-    count: int
-    sequences: frozenset[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -149,25 +138,24 @@ def enumerate_gallai(n: int) -> Iterator[EdgeColoring]:
     return extend(0, 0)
 
 
-def _ordered_stats(n: int) -> EnumerationStats:
+def _sweep(n: int, leaf: Callable[[list[int], list[int]], None]) -> None:
     """The walk restricted to colorings whose vertices come in nondecreasing
     key order, the key of a vertex being its color degree and then its
-    sorted color counts.
+    sorted color counts.  Calls ``leaf(colors, degrees)`` once per such
+    coloring up to color relabeling; both lists are the sweep's own, so a
+    leaf copies what it keeps.
 
     The key survives any relabeling of vertices or colors, and sorting the
     vertices by key relabels every Gallai coloring into that order, so the
-    sequences are those of the full walk.  ``count`` is the number of
-    key-ordered colorings up to color relabeling, so a weaker key (the
-    degree alone) finds the same sequences but not the same count.  No
-    size guard: the caller decides what it can afford.
+    leaves realize the sequences of the full walk, each already sorted; a
+    weaker key (the degree alone) finds them at more leaves.  No size
+    guard: the caller decides what it can afford.
     """
     pairs, closing = _tables(n)
     last = len(pairs) - 1
     colors = [0] * len(pairs)
     counts = [[0] * len(pairs) for _ in range(n)]  # counts[v][c]
     degrees = [0] * n
-    sequences = set()
-    count = 0
 
     def below(v: int, k: int) -> bool:
         # key(v) < key(v-1), where colors k and up are still unused
@@ -176,10 +164,8 @@ def _ordered_stats(n: int) -> EnumerationStats:
         return sorted(counts[v][:k]) < sorted(counts[v - 1][:k])
 
     def extend(e: int, used: int) -> None:
-        nonlocal count
         if e > last:
-            count += 1
-            sequences.add(tuple(degrees))  # key order sorts the degrees
+            leaf(colors, degrees)
             return
         allowed = -1
         for ea, eb in closing[e]:
@@ -224,7 +210,6 @@ def _ordered_stats(n: int) -> EnumerationStats:
                 degrees[v] -= 1
 
     extend(0, 0)
-    return EnumerationStats(n=n, count=count, sequences=frozenset(sequences))
 
 
 def candidate_sequences(n: int) -> Iterator[tuple[int, ...]]:
@@ -243,7 +228,9 @@ def crosscheck(n: int) -> CrosscheckResult:
     result carries both sets so a disagreement can be inspected.
     """
     _check_size(n)
-    realizable = _ordered_stats(n).sequences
+    sequences: set[tuple[int, ...]] = set()  # key order sorts each leaf's degrees
+    _sweep(n, lambda colors, degrees: sequences.add(tuple(degrees)))
+    realizable = frozenset(sequences)
     feasible = frozenset(
         seq for seq in candidate_sequences(n) if check_sequence(seq).feasible
     )

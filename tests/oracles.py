@@ -2,9 +2,11 @@
 
 Each ``naive_*`` function, ``rational_slacks``, ``unfiltered_reference``
 and ``key_ordered`` recomputes what a package function computes, by a
-slower or more literal route, so that tests can compare the two.  The
-Hypothesis strategies and sequence generators here are drawn by more than
-one test module.  This module holds no tests.
+slower or more literal route, so that tests can compare the two.
+``sweep_stats`` counts the leaves of ``crosscheck``'s sweep, which the
+package reads only for their degrees.  The Hypothesis strategies and
+sequence generators here are drawn by more than one test module.  This
+module holds no tests.
 """
 
 import itertools
@@ -35,7 +37,7 @@ from gallai import (
 )
 from gallai.construct import monochromatic_coloring
 from gallai.document import pen_color
-from gallai.oracle import EnumerationStats, candidate_sequences
+from gallai.oracle import _sweep, candidate_sequences
 
 
 # Colorings
@@ -310,13 +312,32 @@ def unfiltered_reference(n):
 
 
 def naive_enumeration_stats(n):
-    """Count and sequence set recounted from each enumerated coloring."""
+    """(count, sequences): the colorings of the full walk and the sorted
+    degree sequences they realize, recounted from each coloring."""
     count = 0
     sequences = set()
     for c in enumerate_gallai(n):
         count += 1
         sequences.add(tuple(sorted(color_degrees(c))))
-    return EnumerationStats(n=n, count=count, sequences=frozenset(sequences))
+    return count, frozenset(sequences)
+
+
+def sweep_stats(n, visit=None):
+    """(count, sequences): the leaves of ``crosscheck``'s key-ordered sweep
+    and the degree sequences they hold.  ``visit``, if given, also gets
+    each leaf as an ``EdgeColoring`` and its degrees."""
+    count = 0
+    sequences = set()
+
+    def leaf(colors, degrees):
+        nonlocal count
+        count += 1
+        sequences.add(tuple(degrees))
+        if visit is not None:
+            visit(EdgeColoring(n, tuple(colors)), tuple(degrees))
+
+    _sweep(n, leaf)
+    return count, frozenset(sequences)
 
 
 def key_ordered(coloring):

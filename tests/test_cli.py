@@ -340,6 +340,15 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "ladder", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["-o", "--dot"])
+    @pytest.mark.parametrize("name", ["", "missing/x.doc"], ids=["empty", "missing-directory"])
+    def test_a_path_that_cannot_be_written_is_refused(self, capsys, tmp_path, flag, name):
+        # an empty path is a path like any other, not a request for stdout
+        path = str(tmp_path / name) if name else ""
+        code, _, err = run(capsys, "generate", "chain", "3", flag, path)
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
 
 class TestCrosscheck:
     def test_small(self, capsys):
@@ -457,6 +466,31 @@ class TestModuleEntry:
             )
             assert proc.returncode == 0, module
             assert "verdict: feasible" in proc.stdout, module
+
+    @pytest.mark.parametrize("limit", [None, "0", "640"], ids=["unset", "no-limit", "640"])
+    def test_entry_runs_under_the_default_digit_limit(self, tmp_path, limit):
+        # Under the default limit of 4,300 digits a 6,021-digit slack and a
+        # 5,000-digit color are refused and a 1,000-digit color is read,
+        # whatever the environment asks for.  One child runs all three.
+        (tmp_path / "long.doc").write_text(f"n 2\nedge 0 1 {'9' * 5000}\n")
+        (tmp_path / "short.doc").write_text(f"n 2\nedge 0 1 {'9' * 1000}\n")
+        calls = (
+            "import sys\n"
+            "from gallai.cli import entry\n"
+            "for command, arg in (('check', '1,20000,20000'), ('verify', 'long.doc'), ('verify', 'short.doc')):\n"
+            "    sys.argv[1:] = [command, '--quiet', arg]\n"
+            "    try:\n"
+            "        entry()\n"
+            "    except SystemExit as exit:\n"
+            "        print(exit.code)\n"
+        )
+        env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        proc = subprocess.run(
+            [sys.executable, "-c", calls], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.stdout.split() == ["2", "2", "0"]
 
     def test_console_script_names_a_callable(self):
         # the `gallai` command that pip installs runs what [project.scripts] names

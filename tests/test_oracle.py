@@ -8,15 +8,17 @@ n = 6, beyond the referee's reach, the enumeration gives 44,300 colorings
 with 25 sorted degree sequences, as ``naive_enumeration_stats`` recounts
 them with ``color_degrees`` per leaf; the whole stream is pinned by a
 sha256 taken from the walk that made that recount.  ``crosscheck``'s sweep,
-``_ordered_stats``, must find the recount's sequences, and it must count
-as many colorings as the full walk holds with nondecreasing vertex keys,
-which ``key_ordered`` recomputes from the color matrix.  The referees live
-in ``oracles.py``.
+``_sweep``, must find the recount's sequences, and its leaves must be the
+colorings of the full walk with nondecreasing vertex keys, which
+``key_ordered`` recomputes from the color matrix; ``sweep_stats`` counts
+them.  At n = 7 the same sweep hands every leaf to the structure checks.
+The referees live in ``oracles.py``.
 """
 
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,22 +32,21 @@ from gallai import (
     color_degrees,
     crosscheck,
     enumerate_gallai,
+    find_disconnected_color,
     is_gallai,
     normalize_colors,
+    prefix_color_bound_report,
     uniform_coloring,
 )
 from gallai.construct import monochromatic_coloring
-from gallai.oracle import (
-    _ordered_stats,
-    _partitions_by_block_count,
-    candidate_sequences,
-)
+from gallai.oracle import _partitions_by_block_count, candidate_sequences
 from oracles import (
     key_ordered,
     naive_enumeration_stats,
     naive_gallai_partition,
     naive_partitions,
     outcome,
+    sweep_stats,
     unfiltered_reference,
 )
 
@@ -60,6 +61,9 @@ SIX_VERTEX_STREAM_SHA256 = "6ec8b63316d6da89e8172ac96e40492a46af86b4096063e56a77
 # key_ordered; at n = 7, the sweep's own count.
 ORDERED_SIX_VERTEX_COUNT = 2645
 ORDERED_SEVEN_VERTEX_COUNT = 37373
+# Key-ordered colorings at n = 7 with a color of disconnected span, as
+# find_disconnected_color first counted them.
+SEVEN_VERTEX_SPLITS = 11702
 
 # sha256 over the reprs of brute_force_gallai_partition of every
 # enumerated coloring for n = 2..5, taken from the implementation that read
@@ -123,16 +127,16 @@ class TestEnumerate:
 
 class TestEnumerationStats:
     def test_six_vertices_frozen(self):
-        stats = naive_enumeration_stats(6)
-        assert stats.count == SIX_VERTEX_COUNT
-        assert len(stats.sequences) == SIX_VERTEX_SEQUENCES
-        assert len(_ordered_stats(6).sequences) == SIX_VERTEX_SEQUENCES
+        count, sequences = naive_enumeration_stats(6)
+        assert count == SIX_VERTEX_COUNT
+        assert len(sequences) == SIX_VERTEX_SEQUENCES
+        assert len(sweep_stats(6)[1]) == SIX_VERTEX_SEQUENCES
 
 
 class TestRealizableSequences:
     def test_frozen_small_sets(self):
-        assert _ordered_stats(3).sequences == {(1, 1, 1), (1, 2, 2)}
-        assert _ordered_stats(4).sequences == {
+        assert sweep_stats(3)[1] == {(1, 1, 1), (1, 2, 2)}
+        assert sweep_stats(4)[1] == {
             (1, 1, 1, 1),
             (1, 1, 2, 2),
             (1, 2, 2, 2),
@@ -141,10 +145,10 @@ class TestRealizableSequences:
         }
 
     def test_five_vertices_count(self):
-        assert len(_ordered_stats(5).sequences) == 11
+        assert len(sweep_stats(5)[1]) == 11
 
     def test_known_exclusion(self):
-        assert (1, 1, 3, 3) not in _ordered_stats(4).sequences
+        assert (1, 1, 3, 3) not in sweep_stats(4)[1]
 
 
 class TestCandidates:
@@ -195,31 +199,65 @@ class TestCrosscheck:
             assert (seq in result.feasible) == check_sequence(seq).feasible
 
 
+@pytest.fixture(scope="module")
+def seven():
+    """The one sweep at n = 7: its count, its sequences, and a tally of the
+    structure checks on every leaf."""
+    tally = Counter()
+
+    def visit(coloring, degrees):
+        # the corollary of Fujita, Li and Zhang: min degree <= floor(log2 7)
+        tally["min degree at most 2"] += min(degrees) <= 2
+        tally["prefix bound holds"] += prefix_color_bound_report(coloring).ok
+        split = find_disconnected_color(coloring)
+        tally["split"] += split is not None
+        unsplit = split is None and len(coloring.color_set()) >= 3
+        tally["three or more colors, no split"] += unsplit
+
+    count, sequences = sweep_stats(7, visit)
+    return count, sequences, tally
+
+
 class TestOrderedSweep:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_sequences_match_full_walk(self, n):
-        assert _ordered_stats(n).sequences == naive_enumeration_stats(n).sequences
+        assert sweep_stats(n)[1] == naive_enumeration_stats(n)[1]
 
     def test_counts_the_key_ordered_colorings(self, enumerated):
+        # the leaves are the full walk's key-ordered colorings, in its
+        # order, each handed out with its own degrees
         for n in range(1, 6):
-            assert _ordered_stats(n).count == sum(map(key_ordered, enumerated[n]))
+            leaves = []
+            count, _ = sweep_stats(n, lambda coloring, degrees: leaves.append((coloring, degrees)))
+            assert count == sum(map(key_ordered, enumerated[n]))
+            assert [c for c, _ in leaves] == [c for c in enumerated[n] if key_ordered(c)]
+            assert all(d == tuple(color_degrees(c)) for c, d in leaves)
 
     def test_six_vertices_frozen(self):
-        assert _ordered_stats(6).count == ORDERED_SIX_VERTEX_COUNT
+        assert sweep_stats(6)[0] == ORDERED_SIX_VERTEX_COUNT
 
-    def test_seven_vertices_match_feasible(self):
-        stats = _ordered_stats(7)
-        assert stats.sequences == {
+    def test_seven_vertices_match_feasible(self, seven):
+        count, sequences, _ = seven
+        assert sequences == {
             seq for seq in candidate_sequences(7) if check_sequence(seq).feasible
         }
-        assert len(stats.sequences) == 57
-        assert stats.count == ORDERED_SEVEN_VERTEX_COUNT
+        assert len(sequences) == 57
+        assert count == ORDERED_SEVEN_VERTEX_COUNT
+
+    def test_seven_vertices_structure(self, seven):
+        _, _, tally = seven
+        assert tally == {
+            "min degree at most 2": ORDERED_SEVEN_VERTEX_COUNT,
+            "prefix bound holds": ORDERED_SEVEN_VERTEX_COUNT,
+            "split": SEVEN_VERTEX_SPLITS,
+            "three or more colors, no split": 0,
+        }
 
     def test_crosscheck_guards_before_any_walk(self, monkeypatch):
-        def walked(n):
+        def walked(*args):
             raise AssertionError("walked")
 
-        monkeypatch.setattr("gallai.oracle._ordered_stats", walked)
+        monkeypatch.setattr("gallai.oracle._sweep", walked)
         monkeypatch.setattr("gallai.oracle.enumerate_gallai", walked)
         with pytest.raises(ValueError, match="must be >= 1"):
             crosscheck(0)
