@@ -64,10 +64,18 @@ def _parse_count(text: str) -> int:
 
 def _report_lines(report: FeasibilityReport) -> list[str]:
     header = ("k", "d_k", "slack")
-    rows = [
-        (str(k), str(report.values[k - 1]), str(report.slacks[k - 1]))
-        for k in range(1, report.n + 1)
-    ]
+    try:
+        rows = [
+            (str(k), str(report.values[k - 1]), str(report.slacks[k - 1]))
+            for k in range(1, report.n + 1)
+        ]
+    except ValueError:  # str() refuses a slack past the interpreter's digit limit
+        for k, slack in enumerate(report.slacks, 1):
+            try:
+                str(slack)
+            except ValueError:
+                raise ValueError(f"slack at k={k} has {slack.bit_length()} bits, too many digits to print") from None
+        raise
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(3)]
     lines = ["  ".join(f.rjust(w) for f, w in zip(row, widths)) for row in [header, *rows]]
     verdict = "feasible" if report.feasible else f"infeasible (first violation at k={report.first_violation})"
@@ -82,28 +90,26 @@ def _read_coloring(path: str) -> EdgeColoring:
         return parse_document(f.read())
 
 
-def _write(path: str, text: str, out: Callable[[str], None]) -> None:
-    with open(path, "w") as f:  # not Path: Path("") is ".", "" names no file
-        f.write(text)
-    out(f"wrote {path}")
-
-
-def _deliver(coloring: EdgeColoring, args, out: Callable[[str], None]) -> None:
-    """Write the coloring to --output or stdout, and optionally a DOT file;
-    a path given, even "", is written or refused."""
-    if args.output is None:
-        sys.stdout.write(render_document(coloring))
-    else:
-        _write(args.output, render_document(coloring), out)
-    if args.dot is not None:
-        _write(args.dot, render_dot(coloring), out)
-
-
-def _emit_degrees(sorted_degrees: Sequence[int], args, out: Callable[[str], None]) -> None:
+def _deliver(coloring: EdgeColoring, sorted_degrees: Sequence[int], args, out: Callable[[str], None]) -> None:
+    """Write --output and --dot, then report: the degrees line, the document
+    itself when no --output is given, and one line per file written.  A
+    path given, even "", is written or refused, and a refused path leaves
+    stdout empty."""
+    files = [
+        (path, render)
+        for path, render in ((args.output, render_document), (args.dot, render_dot))
+        if path is not None
+    ]
+    for path, render in files:
+        with open(path, "w") as f:  # not Path: Path("") is ".", "" names no file
+            f.write(render(coloring))
     # When the document itself goes to stdout, keep the info line parseable
     # as a document comment.
-    prefix = "# " if args.output is None else ""
-    out(prefix + "degrees: " + _fmt_values(sorted_degrees))
+    out(("# " if args.output is None else "") + "degrees: " + _fmt_values(sorted_degrees))
+    if args.output is None:
+        sys.stdout.write(render_document(coloring))
+    for path, _ in files:
+        out(f"wrote {path}")
 
 
 def cmd_check(args, out: Callable[[str], None]) -> int:
@@ -124,8 +130,7 @@ def cmd_construct(args, out: Callable[[str], None]) -> int:
         return 1
     # realize accepted values as nondecreasing and matches them as its
     # sorted color degrees, so they need no recount.
-    _emit_degrees(values, args, out)
-    _deliver(coloring, args, out)
+    _deliver(coloring, values, args, out)
     return 0
 
 
@@ -163,8 +168,7 @@ def cmd_generate(args, out: Callable[[str], None]) -> int:
         coloring = chain_coloring(args.size)
     else:
         coloring = uniform_coloring(args.size)
-    _emit_degrees(sorted(color_degrees(coloring)), args, out)
-    _deliver(coloring, args, out)
+    _deliver(coloring, sorted(color_degrees(coloring)), args, out)
     return 0
 
 

@@ -23,6 +23,7 @@ PYTHONINTMAXSTRDIGITS says, while a library caller keeps its own limit.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import islice
 
 from .coloring import EdgeColoring
 from .errors import DocumentError, clip
@@ -69,12 +70,17 @@ def parse_document(text: str) -> EdgeColoring:
     repeated pair is one whose slot is already filled.  A document with
     fewer lines than pairs cannot be complete; its slots are kept sparse so
     that memory follows the length of the text, not the declared n.
+    Right after the header, rows written exactly as render_document writes
+    them are read in bulk by _writer_rows; from the first line that is not,
+    every line goes through the line loop below, which gives every message
+    and line number.
     """
     lines = text.split("\n")
     n: int | None = None
     expected = seen = 0
     slots: list[int] | defaultdict[int, int] = []
-    for lineno, raw in enumerate(lines, start=1):
+    numbered = enumerate(lines, start=1)
+    for lineno, raw in numbered:
         line = raw.strip()
         if line.startswith("#"):
             continue
@@ -90,7 +96,12 @@ def parse_document(text: str) -> EdgeColoring:
             if n < 1:
                 raise DocumentError(f"line {lineno}: vertex count must be >= 1")
             expected = n * (n - 1) // 2
-            slots = [-1] * expected if expected < len(lines) else defaultdict(lambda: -1)
+            if expected < len(lines):
+                slots = [-1] * expected
+                seen = _writer_rows(lines, lineno, n, slots)
+                next(islice(numbered, seen, seen), None)  # skip the lines read
+            else:
+                slots = defaultdict(lambda: -1)
             continue
         if len(fields) != 4 or fields[0] != "edge":
             raise DocumentError(
@@ -108,11 +119,48 @@ def parse_document(text: str) -> EdgeColoring:
             raise DocumentError(f"line {lineno}: pair ({u}, {v}) repeated")
         slots[index] = c
         seen += 1
+    del numbered  # freed before the tuple is built, as a plain for loop frees its iterator
     if n is None:
         raise DocumentError("document is empty")
     if seen != expected:
         raise DocumentError(f"expected {expected} pairs for n={n}, got {seen}")
     return EdgeColoring(n, tuple(slots))
+
+
+def _writer_rows(lines: list[str], start: int, n: int, slots: list[int]) -> int:
+    """Fill slots from lines[start:] while each row u reads exactly as
+    ``edge u v c`` for v = u+1..n-1 with c a run of ASCII digits; return
+    the number of lines read, which is also the number of slots filled.
+
+    A row's w lines are joined with " \\n " and split at single spaces, so a
+    row as written gives 5w - 1 tokens: edge, u, v, color, then a line break
+    and the next line.  Once the count and the other four columns match, the
+    w - 1 line breaks can only sit in the fifth.  A tab, a "\\r", a doubled
+    space, a comment or a pair out of place breaks the pattern and ends the
+    bulk read.
+    """
+    names = [str(v) for v in range(n)]
+    read = 0
+    for u in range(n - 1):
+        w = n - 1 - u
+        tokens = " \n ".join(lines[start + read : start + read + w]).split(" ")
+        colors = tokens[3::5]
+        digits = "".join(colors)
+        if not (
+            len(tokens) == 5 * w - 1
+            and tokens[0::5] == ["edge"] * w
+            and tokens[1::5] == [names[u]] * w
+            and tokens[2::5] == names[u + 1 :]
+            and digits.isascii()
+            and digits.isdigit()
+        ):
+            break
+        try:  # an empty color, or one past the digit limit, is the loop's to name
+            slots[read : read + w] = list(map(int, colors))
+        except ValueError:
+            break
+        read += w
+    return read
 
 
 def _parse_int(token: str, lineno: int) -> int:

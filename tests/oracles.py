@@ -10,7 +10,7 @@ module holds no tests.
 """
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from gallai import (
     PARTITION_SIZE_LIMIT,
     ChainOrder,
+    DocumentError,
     DuplicationChoice,
     EdgeColoring,
     FeasibilityReport,
@@ -36,7 +37,8 @@ from gallai import (
     validate_sequence,
 )
 from gallai.construct import monochromatic_coloring
-from gallai.document import pen_color
+from gallai.document import _parse_int, pen_color
+from gallai.errors import clip
 from gallai.oracle import _sweep, candidate_sequences
 
 
@@ -221,6 +223,54 @@ def naive_render_document(coloring):
     for u, v, c in naive_pairs(coloring):
         lines.append(f"edge {u} {v} {c}")
     return "\n".join(lines) + "\n"
+
+
+def naive_parse_document(text):
+    """Reference for ``parse_document``: every line read on its own, with
+    the package's number rule, so it gives the same messages."""
+    lines = text.split("\n")
+    n = None
+    expected = seen = 0
+    slots = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            continue
+        if not raw.isascii():
+            raise DocumentError(f"line {lineno}: expected ASCII text, got {clip(raw)}")
+        if not line:
+            continue
+        fields = line.split()
+        if n is None:
+            if len(fields) != 2 or fields[0] != "n":
+                raise DocumentError(f"line {lineno}: expected 'n <count>', got {clip(raw)}")
+            n = _parse_int(fields[1], lineno)
+            if n < 1:
+                raise DocumentError(f"line {lineno}: vertex count must be >= 1")
+            expected = n * (n - 1) // 2
+            slots = [-1] * expected if expected < len(lines) else defaultdict(lambda: -1)
+            continue
+        if len(fields) != 4 or fields[0] != "edge":
+            raise DocumentError(
+                f"line {lineno}: expected 'edge <u> <v> <color>', got {clip(raw)}"
+            )
+        u = _parse_int(fields[1], lineno)
+        v = _parse_int(fields[2], lineno)
+        c = _parse_int(fields[3], lineno)
+        if not 0 <= u < v < n:
+            raise DocumentError(f"line {lineno}: need 0 <= u < v < n, got {u}, {v}")
+        if c < 0:
+            raise DocumentError(f"line {lineno}: color must be nonnegative, got {c}")
+        index = u * n - u * (u + 1) // 2 + (v - u - 1)
+        if slots[index] >= 0:
+            raise DocumentError(f"line {lineno}: pair ({u}, {v}) repeated")
+        slots[index] = c
+        seen += 1
+    if n is None:
+        raise DocumentError("document is empty")
+    if seen != expected:
+        raise DocumentError(f"expected {expected} pairs for n={n}, got {seen}")
+    return EdgeColoring(n, tuple(slots))
 
 
 def naive_render_dot(coloring):

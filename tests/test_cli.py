@@ -185,6 +185,20 @@ class TestBoundedMessages:
         _, _, err = run(capsys, "check", "1,two,3")
         assert err == "error: not a comma-separated integer list: '1,two,3'\n"
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
+    @pytest.mark.parametrize("command", ["check", "construct"])
+    def test_slack_past_the_digit_limit_is_named(self, capsys, command):
+        # under the default limit of 4,300 digits str() refuses the slack
+        # 2 - 2^19999 at k=1; the message names k and the slack's size
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            code, out, err = run(capsys, command, "1,20000,20000")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err == "error: slack at k=1 has 19999 bits, too many digits to print\n"
+
     def test_undecodable_argument_byte_is_echoed_as_the_byte(self, capsys):
         # how a POSIX argv holds the byte 0xE9 that is not UTF-8
         _, _, err = run(capsys, "check", "1,\udce9")
@@ -343,11 +357,13 @@ class TestGenerate:
     @pytest.mark.parametrize("flag", ["-o", "--dot"])
     @pytest.mark.parametrize("name", ["", "missing/x.doc"], ids=["empty", "missing-directory"])
     def test_a_path_that_cannot_be_written_is_refused(self, capsys, tmp_path, flag, name):
-        # an empty path is a path like any other, not a request for stdout
+        # an empty path is a path like any other, not a request for stdout;
+        # a refused write prints no degrees line and no document
         path = str(tmp_path / name) if name else ""
-        code, _, err = run(capsys, "generate", "chain", "3", flag, path)
-        assert code == 2
-        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+        for command in (["generate", "chain", "3"], ["construct", "1,2,2"]):
+            code, out, err = run(capsys, *command, flag, path)
+            assert (code, out) == (2, ""), command
+            assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
 
 
 class TestCrosscheck:

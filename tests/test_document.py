@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gallai import (
     DocumentError,
@@ -15,11 +16,13 @@ from gallai import (
     render_dot,
     uniform_coloring,
 )
+import gallai.document
 from gallai.document import PALETTE, pen_color
 from oracles import (
     colorings,
     duplication_sequence,
     naive_pairs,
+    naive_parse_document,
     naive_render_document,
     naive_render_dot,
 )
@@ -231,6 +234,112 @@ class TestParse:
         # allocating n(n-1)/2 slots
         with pytest.raises(DocumentError, match=message):
             parse_document(text)
+
+
+def parsed(parse, text):
+    """The coloring a parser returns, or the message of its DocumentError."""
+    try:
+        return parse(text)
+    except DocumentError as exc:
+        return str(exc)
+
+
+# Edits that take a line out of the writer's form.  Each acts at an edge
+# line i; lines[-1] is the "" after the last "\n".
+MUTATIONS = ("crlf", "tab", "double-space", "swap", "repeat", "drop-last", "comment", "color", "non-ascii")
+COLOR_SPELLINGS = ("-1", "007", "1_0", "+1", "9" * 5000)
+
+
+def mutate(lines, name, i, j):
+    """Apply the mutation ``name`` at line i; j picks the other line of a
+    swap, the color spelling, or where a non-ASCII character goes."""
+    line = lines[i]
+    if name == "crlf":
+        lines[i] = line + "\r"
+    elif name == "tab":
+        lines[i] = line.replace(" ", "\t", 1)
+    elif name == "double-space":
+        lines[i] = line.replace(" ", "  ", 1)
+    elif name == "swap":
+        lines[i], lines[j] = lines[j], line
+    elif name == "repeat":
+        lines.insert(i, line)
+    elif name == "drop-last":
+        del lines[-2]
+    elif name == "comment":
+        lines.insert(i, "# note")
+    elif name == "color":
+        lines[i] = line.rsplit(" ", 1)[0] + " " + COLOR_SPELLINGS[j % len(COLOR_SPELLINGS)]
+    else:  # a Latin-1 letter, or the byte 0xE9 as surrogateescape reads it
+        lines[i] = line[:j] + ("\u00e9", "\udce9")[j % 2] + line[j:]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A rendered document with n >= 2 and one to three MUTATIONS applied."""
+    coloring = draw(colorings(max_n=7, max_color=12).filter(lambda c: c.n >= 2))
+    lines = render_document(coloring).split("\n")
+    for name in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        edges = len(lines) - 2
+        if edges < 1:  # every edge line dropped
+            break
+        i = draw(st.integers(1, edges))
+        j = draw(st.integers(1, edges)) if name == "swap" else draw(st.integers(0, len(lines[i])))
+        mutate(lines, name, i, j)
+    return "\n".join(lines)
+
+
+class TestWriterRows:
+    """parse_document reads writer-order rows in bulk and hands every other
+    line to its line loop, which naive_parse_document runs on every line."""
+
+    @given(mutated_documents())
+    def test_mutated_documents_read_as_by_the_line_loop(self, text):
+        assert parsed(parse_document, text) == parsed(naive_parse_document, text)
+
+    def test_every_single_mutation_of_a_small_document(self):
+        lines = render_document(EdgeColoring(5, tuple(range(10, 20)))).split("\n")
+        for name in MUTATIONS:
+            for i in range(1, len(lines) - 1):
+                for j in range(len(lines) - 1) if name in ("swap", "color") else (0, 1, len(lines[i])):
+                    mutated = list(lines)
+                    mutate(mutated, name, i, j)
+                    text = "\n".join(mutated)
+                    assert parsed(parse_document, text) == parsed(naive_parse_document, text), (name, i, j)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n 3\nedge 0 1 0\nedge 0 2 1\r\nedge 1 2 1\n",
+            "n 3\nedge 0 1 0\nedge 0 2 1\nedge 1 2 -1\n",
+            "n 3\nedge 0 1 0\nedge 0 2 1\nedge 1 2 " + "7" * 5000 + "\n",
+            "n 3\nedge 0 1 0\nedge 0 2 \nedge 1 2 1\n",
+            "n 3\nedge 0 1 0\nedge 0 2\nedge 1 2 1\n",
+            "n 3\nedge 0 1 0 0\nedge 0 2 1\nedge 1 2 1\n",
+            "n 3\nedge 0 1 0\nedge 0 2 1\nedge 0 1 0\nedge 1 2 1\n",
+            "n 3\nedge 0 1 0\nedge 0 2 1\nedge 1 2 1\nedge 1 2 1\n",
+            "n 3\nedge 0 1 0\nedge 0 2 1\nedge 1 2 \u0661\n",
+            "n 3\nedge 0 1 0\nedge 0 2 1\nedge 1 2 1\n# tail\n",
+            "n 3\nedge 0 1 0\nedge 0 2 1\n",
+        ],
+        ids=["crlf", "negative", "past-digit-limit", "empty-color", "no-color", "extra-field", "repeat-mid",
+             "repeat-after", "non-ascii-digit", "trailing-comment", "short"],
+    )
+    def test_a_row_not_as_written_falls_to_the_line_loop(self, text):
+        assert parsed(parse_document, text) == parsed(naive_parse_document, text)
+
+    def test_numbers_are_read_one_by_one_only_for_the_header(self, monkeypatch):
+        calls = []
+        parse_int = gallai.document._parse_int
+
+        def counted(token, lineno):
+            calls.append(token)
+            return parse_int(token, lineno)
+
+        monkeypatch.setattr(gallai.document, "_parse_int", counted)
+        coloring = chain_coloring(40)
+        assert parse_document(render_document(coloring)) == coloring
+        assert calls == ["40"]
 
 
 class TestDot:
