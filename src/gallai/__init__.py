@@ -54,7 +54,6 @@ from .oracle import (
     GallaiPartition,
     brute_force_gallai_partition,
     crosscheck,
-    enumerate_gallai,
 )
 from .structure import (
     ChainOrder,

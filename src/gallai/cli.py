@@ -64,18 +64,13 @@ def _parse_count(text: str) -> int:
 
 def _report_lines(report: FeasibilityReport) -> list[str]:
     header = ("k", "d_k", "slack")
-    try:
-        rows = [
-            (str(k), str(report.values[k - 1]), str(report.slacks[k - 1]))
-            for k in range(1, report.n + 1)
-        ]
-    except ValueError:  # str() refuses a slack past the interpreter's digit limit
-        for k, slack in enumerate(report.slacks, 1):
-            try:
-                str(slack)
-            except ValueError:
-                raise ValueError(f"slack at k={k} has {slack.bit_length()} bits, too many digits to print") from None
-        raise
+    rows = []
+    for k, (value, slack) in enumerate(zip(report.values, report.slacks), 1):
+        try:
+            printed = str(slack)
+        except ValueError:  # past the interpreter's digit limit
+            raise ValueError(f"slack at k={k} has {slack.bit_length()} bits, too many digits to print") from None
+        rows.append((str(k), str(value), printed))
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(3)]
     lines = ["  ".join(f.rjust(w) for f, w in zip(row, widths)) for row in [header, *rows]]
     verdict = "feasible" if report.feasible else f"infeasible (first violation at k={report.first_violation})"
@@ -243,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("crosscheck", cmd_crosscheck, "compare enumerated degree sequences against the feasibility test")
     p.add_argument("n", type=_parse_count)
-    p.add_argument("--allow-large", action="store_true", help="accepted and ignored: every n the enumeration supports runs without it")
+    p.add_argument("--allow-large", action="store_true", help="accepted and ignored: every n crosscheck supports runs without it")
 
     p = sub("partition", cmd_partition, "find a Gallai partition of a coloring document")
     p.add_argument("input", help="coloring document path")

@@ -1,6 +1,6 @@
 """Exhaustive ground truth at desk scale.
 
-One walk enumerates every edge coloring of K_n up to color relabeling with
+The sweep walks the edge colorings of K_n up to color relabeling with
 restricted-growth labels: each edge, taken in lexicographic pair order,
 either reuses a previous color or introduces the next fresh one.  Since the
 pairs (w, u) and (w, v) with w < u both precede (u, v), every triangle is
@@ -10,25 +10,21 @@ edges carry colors a != b limits (u, v) to {a, b}; the admissible colors
 are the intersection of those pairs, at most two of them, and the node is
 cut when it is empty.  Only unconstrained edges may take a fresh color.
 
-``crosscheck`` needs only the sorted degree sequences, so it runs a second
-copy of the walk, the sweep, that keeps only colorings whose vertices come
-in nondecreasing key order, the key being a vertex's color degree and then
-its sorted color counts.  The sweep hands each such leaf, its edge colors
-and its vertex degrees, to a function.  It carries, per vertex, a count of
-each incident color and the color degree: assigning c to (u, v) raises the
-counts of c at u and v and a degree whose count goes from 0 to 1, and
-backtracking undoes both, so keys compare and a leaf holds its degrees
-without a pass over its edges.  Relabeling vertices and colors leaves
-every key as it is, and sorting the vertices by key puts any coloring in
-that order, so no sequence is lost; the leaf's degrees are already
-sorted.  A row stops as soon as its vertex can no longer reach the degree
-of the one before it.  At n = 6 the sweep visits 2,645 of the 44,300
-colorings and ``crosscheck(6)`` takes about 65 ms; at n = 7 it visits
-37,373 and takes about 2 s (2-vCPU VM, Python 3.11).
+``crosscheck`` needs only the sorted degree sequences, so the sweep keeps
+only colorings whose vertices come in nondecreasing key order, the key
+being a vertex's color degree and then its sorted color counts.  It hands
+each such leaf, its edge colors and its vertex degrees, to a function.  It
+carries, per vertex, a count of each incident color and the color degree:
+assigning c to (u, v) raises the counts of c at u and v and a degree whose
+count goes from 0 to 1, and backtracking undoes both, so keys compare and
+a leaf holds its degrees without a pass over its edges.  Relabeling
+vertices and colors leaves every key as it is, and sorting the vertices by
+key puts any coloring in that order, so no sequence is lost; the leaf's
+degrees are already sorted.  A row stops as soon as its vertex can no
+longer reach the degree of the one before it.
 
-The enumeration, the crosscheck and the brute-force partition search are
-each small enough to serve as an independent referee for the analytic
-modules.
+The crosscheck and the brute-force partition search are each small enough
+to serve as an independent referee for the analytic modules.
 """
 
 from __future__ import annotations
@@ -42,11 +38,10 @@ from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle  # noqa
 from .errors import InternalConsistencyError, NotGallaiError, SizeGuardError, require_count
 from .feasibility import check_sequence
 
-# n = 6: 44,300 colorings, which enumerate_gallai yields in about 0.3 s;
-# n = 7 has 2,685,365 and takes about 18 s (2-vCPU VM, Python 3.11).
-# crosscheck keeps the same limit, though its key-ordered sweep takes
-# about 2 s at n = 7.
-ENUMERATION_SIZE_LIMIT = 6
+# crosscheck's sweep visits 2,645 colorings at n = 6 (about 70 ms) and
+# 37,373 at n = 7 (1.4-2.3 s); n = 8 visits 3,552,762 and takes about
+# 105 s (2-vCPU VM, Python 3.11).
+ENUMERATION_SIZE_LIMIT = 7
 PARTITION_SIZE_LIMIT = 10
 
 
@@ -82,62 +77,6 @@ class GallaiPartition:
     part_pair_color: dict[tuple[int, int], int]
 
 
-def _check_size(n: int) -> None:
-    require_count(n, 1, "n")
-    if n > ENUMERATION_SIZE_LIMIT:
-        raise SizeGuardError(
-            f"n={n} exceeds the enumeration limit {ENUMERATION_SIZE_LIMIT}"
-        )
-
-
-def _tables(n: int) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
-    """The pairs of K_n in lexicographic order, and for each pair (u, v) the
-    edge indices of the triangles {w, u, v}, w < u, that it completes."""
-    pairs = list(itertools.combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    closing = [
-        [(index[(w, u)], index[(w, v)]) for w in range(u)] for u, v in pairs
-    ]
-    return pairs, closing
-
-
-def enumerate_gallai(n: int) -> Iterator[EdgeColoring]:
-    """Yield every Gallai coloring of K_n exactly once up to color relabeling.
-
-    Colorings come out in restricted-growth order and are already in
-    normalized (first-appearance) color form.  Deterministic.  A bad n
-    raises when called, before the first coloring is asked for.
-    """
-    _check_size(n)
-    pairs, closing = _tables(n)
-    colors = [0] * len(pairs)
-
-    def extend(e: int, used: int) -> Iterator[EdgeColoring]:
-        if e == len(pairs):
-            yield EdgeColoring(n, tuple(colors))
-            return
-        # Bit c of ``allowed`` admits color c; -1 means no closing triangle
-        # constrains e yet.
-        allowed = -1
-        for ea, eb in closing[e]:
-            a, b = colors[ea], colors[eb]
-            if a != b:
-                allowed &= (1 << a) | (1 << b)
-                if not allowed:
-                    return
-        if allowed == -1:
-            options = range(used + 1)
-        else:
-            low = (allowed & -allowed).bit_length() - 1
-            high = allowed.bit_length() - 1
-            options = (low,) if low == high else (low, high)
-        for c in options:
-            colors[e] = c
-            yield from extend(e + 1, used + (c == used))
-
-    return extend(0, 0)
-
-
 def _sweep(n: int, leaf: Callable[[list[int], list[int]], None]) -> None:
     """The walk restricted to colorings whose vertices come in nondecreasing
     key order, the key of a vertex being its color degree and then its
@@ -147,11 +86,15 @@ def _sweep(n: int, leaf: Callable[[list[int], list[int]], None]) -> None:
 
     The key survives any relabeling of vertices or colors, and sorting the
     vertices by key relabels every Gallai coloring into that order, so the
-    leaves realize the sequences of the full walk, each already sorted; a
-    weaker key (the degree alone) finds them at more leaves.  No size
-    guard: the caller decides what it can afford.
+    leaves realize the sequences of all Gallai colorings, each already
+    sorted; a weaker key (the degree alone) finds them at more leaves.  No
+    size guard: the caller decides what it can afford.
     """
-    pairs, closing = _tables(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    # closing[e]: the edge indices of the triangles {w, u, v}, w < u, that
+    # the pair e = (u, v) completes
+    closing = [[(index[(w, u)], index[(w, v)]) for w in range(u)] for u, v in pairs]
     last = len(pairs) - 1
     colors = [0] * len(pairs)
     counts = [[0] * len(pairs) for _ in range(n)]  # counts[v][c]
@@ -227,7 +170,9 @@ def crosscheck(n: int) -> CrosscheckResult:
     The two sets agree for every n (this is the characterization); the
     result carries both sets so a disagreement can be inspected.
     """
-    _check_size(n)
+    require_count(n, 1, "n")
+    if n > ENUMERATION_SIZE_LIMIT:
+        raise SizeGuardError(f"n={n} exceeds the enumeration limit {ENUMERATION_SIZE_LIMIT}")
     sequences: set[tuple[int, ...]] = set()  # key order sorts each leaf's degrees
     _sweep(n, lambda colors, degrees: sequences.add(tuple(degrees)))
     realizable = frozenset(sequences)

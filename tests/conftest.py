@@ -11,7 +11,7 @@ from contextlib import suppress
 import pytest
 from hypothesis import settings
 
-from gallai import enumerate_gallai
+from oracles import enumerate_gallai
 
 pytest_plugins = ["pytester"]
 

@@ -3,10 +3,13 @@
 Each ``naive_*`` function, ``rational_slacks``, ``unfiltered_reference``
 and ``key_ordered`` recomputes what a package function computes, by a
 slower or more literal route, so that tests can compare the two.
-``sweep_stats`` counts the leaves of ``crosscheck``'s sweep, which the
-package reads only for their degrees.  The Hypothesis strategies and
-sequence generators here are drawn by more than one test module.  This
-module holds no tests.
+``enumerate_gallai`` is the full walk whose key-ordered leaves
+``crosscheck``'s sweep visits; it builds its own tables and shares no
+code with the sweep, and ``unfiltered_reference`` referees it in turn.
+``sweep_stats`` counts the leaves of the sweep, which the package reads
+only for their degrees.  The Hypothesis strategies and sequence
+generators here are drawn by more than one test module.  This module
+holds no tests.
 """
 
 import itertools
@@ -30,7 +33,6 @@ from gallai import (
     SizeGuardError,
     check_sequence,
     color_degrees,
-    enumerate_gallai,
     find_rainbow_triangle,
     is_gallai,
     normalize_colors,
@@ -341,6 +343,38 @@ def naive_recover_chain_order(coloring):
 
 
 # Enumeration and partitions
+
+
+def enumerate_gallai(n):
+    """Every Gallai coloring of K_n once up to color relabeling, in
+    restricted-growth order and normalized (first-appearance) color form:
+    the full walk, of which ``crosscheck``'s sweep keeps the key-ordered
+    leaves.  Each edge, in lexicographic pair order, checks only the
+    triangles {w, u, v}, w < u, that it completes: one whose earlier edges
+    carry a != b admits only a and b, and only an unconstrained edge may
+    take a fresh color."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    closing = [[(index[(w, u)], index[(w, v)]) for w in range(u)] for u, v in pairs]
+    colors = [0] * len(pairs)
+
+    def extend(e, used):
+        if e == len(pairs):
+            yield EdgeColoring(n, tuple(colors))
+            return
+        allowed = -1  # bit c admits color c; -1 while nothing constrains e
+        for ea, eb in closing[e]:
+            a, b = colors[ea], colors[eb]
+            if a != b:
+                allowed &= (1 << a) | (1 << b)
+                if not allowed:
+                    return
+        for c in range(used + 1):
+            if allowed >> c & 1:
+                colors[e] = c
+                yield from extend(e + 1, used + (c == used))
+
+    yield from extend(0, 0)
 
 
 def unfiltered_reference(n):

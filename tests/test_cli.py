@@ -383,8 +383,8 @@ class TestCrosscheck:
         assert code == 0
         assert "sets match" in out
 
-    def test_seven_always_guarded(self, capsys):
-        code, _, _ = run(capsys, "crosscheck", "7", "--allow-large")
+    def test_eight_always_guarded(self, capsys):
+        code, _, _ = run(capsys, "crosscheck", "8", "--allow-large")
         assert code == 2
 
     def test_zero_rejected(self, capsys):

@@ -16,7 +16,6 @@ from gallai import (
     compress_component,
     crosscheck,
     duplicate_vertex,
-    enumerate_gallai,
     find_disconnected_color,
     find_rainbow_triangle,
     is_gallai,
@@ -304,14 +303,11 @@ BOOL_ARGUMENTS = {
     "bit-count-false": (lambda: uniform_coloring(False), "bit count must be an integer >= 0, got False"),
     "vertex-count": (lambda: min_degree_upper_bound(True), "n must be an integer >= 1, got True"),
     "crosscheck": (lambda: crosscheck(True), "n must be an integer >= 1, got True"),
-    # raised when called, before the first next()
-    "enumerate": (lambda: enumerate_gallai(True), "n must be an integer >= 1, got True"),
     # a value that is no number: the message of a non-integer, not a TypeError
     "bit-count-none": (lambda: uniform_coloring(None), "bit count must be an integer >= 0, got None"),
     "vertex-count-str": (lambda: chain_coloring("3"), "vertex count must be an integer >= 1, got '3'"),
     "n-str": (lambda: min_degree_upper_bound("3"), "n must be an integer >= 1, got '3'"),
     "crosscheck-none": (lambda: crosscheck(None), "n must be an integer >= 1, got None"),
-    "enumerate-none": (lambda: enumerate_gallai(None), "n must be an integer >= 1, got None"),
     "vertex-pair-none": (lambda: chain_coloring(3).color(None, 1), "invalid vertex pair (None, 1) for n=3"),
     # a number below the least count keeps its message
     "vertex-count-false": (lambda: chain_coloring(False), "vertex count must be >= 1, got False"),

@@ -1,18 +1,19 @@
 """Exhaustive enumeration, the characterization crosscheck, and partitions.
 
-The enumerator is refereed by an independent implementation that walks all
-restricted-growth colorings and filters with the rainbow scan afterwards;
-the two must produce identical streams.  Counts frozen from that referee:
-n = 1..5 give 1, 1, 4, 47, 1127 colorings up to color relabeling.  At
-n = 6, beyond the referee's reach, the enumeration gives 44,300 colorings
-with 25 sorted degree sequences, as ``naive_enumeration_stats`` recounts
-them with ``color_degrees`` per leaf; the whole stream is pinned by a
-sha256 taken from the walk that made that recount.  ``crosscheck``'s sweep,
-``_sweep``, must find the recount's sequences, and its leaves must be the
-colorings of the full walk with nondecreasing vertex keys, which
-``key_ordered`` recomputes from the color matrix; ``sweep_stats`` counts
-them.  At n = 7 the same sweep hands every leaf to the structure checks.
-The referees live in ``oracles.py``.
+The full walk, ``enumerate_gallai`` in ``oracles.py``, is refereed by an
+independent implementation that walks all restricted-growth colorings and
+filters with the rainbow scan afterwards; the two must produce identical
+streams.  Counts frozen from that referee: n = 1..5 give 1, 1, 4, 47, 1127
+colorings up to color relabeling.  At n = 6, beyond the referee's reach,
+the full walk gives 44,300 colorings with 25 sorted degree sequences, as
+``naive_enumeration_stats`` recounts them with ``color_degrees`` per leaf;
+the whole stream is pinned by a sha256 taken from the walk that made that
+recount.  The package's one walk, ``crosscheck``'s sweep ``_sweep``, must
+find the recount's sequences, and its leaves must be the colorings of the
+full walk with nondecreasing vertex keys, which ``key_ordered`` recomputes
+from the color matrix; ``sweep_stats`` counts them.  At n = 7, the largest
+n ``crosscheck`` accepts, the same sweep hands every leaf to the structure
+checks.  The referees live in ``oracles.py``.
 """
 
 import hashlib
@@ -31,7 +32,6 @@ from gallai import (
     check_sequence,
     color_degrees,
     crosscheck,
-    enumerate_gallai,
     find_disconnected_color,
     is_gallai,
     normalize_colors,
@@ -41,6 +41,7 @@ from gallai import (
 from gallai.construct import monochromatic_coloring
 from gallai.oracle import _partitions_by_block_count, candidate_sequences
 from oracles import (
+    enumerate_gallai,
     key_ordered,
     naive_enumeration_stats,
     naive_gallai_partition,
@@ -106,15 +107,8 @@ class TestEnumerate:
             for coloring in enumerated[n]:
                 assert len(coloring.color_set()) <= n - 1
 
-    def test_size_guard(self):
-        # raised when called, before the first next()
-        with pytest.raises(SizeGuardError):
-            enumerate_gallai(7)
-        with pytest.raises(ValueError):
-            enumerate_gallai(0)
-
     def test_stats(self, enumerated):
-        # the public ways to count the colorings and to collect their sequences
+        # counting the colorings, and crosscheck collecting their sequences
         assert sum(1 for _ in enumerate_gallai(4)) == GALLAI_COUNTS[4]
         assert crosscheck(4).realizable == {
             tuple(sorted(color_degrees(c))) for c in enumerated[4]
@@ -258,11 +252,16 @@ class TestOrderedSweep:
             raise AssertionError("walked")
 
         monkeypatch.setattr("gallai.oracle._sweep", walked)
-        monkeypatch.setattr("gallai.oracle.enumerate_gallai", walked)
         with pytest.raises(ValueError, match="must be >= 1"):
             crosscheck(0)
         with pytest.raises(SizeGuardError):
-            crosscheck(7)
+            crosscheck(8)
+
+    def test_crosscheck_sweeps_seven(self, monkeypatch):
+        swept = []
+        monkeypatch.setattr("gallai.oracle._sweep", lambda n, leaf: swept.append(n))
+        crosscheck(7)
+        assert swept == [7]
 
 
 class TestPartitionScan:
