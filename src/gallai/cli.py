@@ -47,7 +47,7 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
     # digits.
     if text.isascii() and "+" not in text and "_" not in text:
         try:
-            return tuple(int(t) for t in text.split(","))
+            return tuple(map(int, text.split(",")))
         except ValueError:  # not a number, or past the interpreter's digit limit
             pass
     raise MalformedSequenceError(f"not a comma-separated integer list: {clip(text)}")
@@ -63,16 +63,18 @@ def _parse_count(text: str) -> int:
 
 
 def _report_lines(report: FeasibilityReport) -> list[str]:
-    header = ("k", "d_k", "slack")
-    rows = []
-    for k, (value, slack) in enumerate(zip(report.values, report.slacks), 1):
-        try:
-            printed = str(slack)
-        except ValueError:  # past the interpreter's digit limit
-            raise ValueError(f"slack at k={k} has {slack.bit_length()} bits, too many digits to print") from None
-        rows.append((str(k), str(value), printed))
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(3)]
-    lines = ["  ".join(f.rjust(w) for f, w in zip(row, widths)) for row in [header, *rows]]
+    values, slacks = report.values, []
+    try:
+        slacks.extend(map(str, report.slacks))  # keeps what it took before an error
+    except ValueError:  # past the interpreter's digit limit
+        k = len(slacks) + 1
+        raise ValueError(f"slack at k={k} has {report.slacks[k - 1].bit_length()} bits, too many digits to print") from None
+    n = len(values)
+    # values are nondecreasing, so the last is the widest; headers floor the widths
+    w0, w1, w2 = len(str(n)), max(3, len(str(values[-1]))), max(5, max(map(len, slacks)))
+    row = f"%{w0}d  %{w1}d  %{w2}s"
+    lines = [f"{'k':>{w0}}  {'d_k':>{w1}}  {'slack':>{w2}}"]
+    lines += [row % fields for fields in zip(range(1, n + 1), values, slacks)]
     verdict = "feasible" if report.feasible else f"infeasible (first violation at k={report.first_violation})"
     return lines + [f"verdict: {verdict}"]
 
@@ -109,8 +111,7 @@ def _deliver(coloring: EdgeColoring, sorted_degrees: Sequence[int], args, out: C
 
 def cmd_check(args, out: Callable[[str], None]) -> int:
     report = check_sequence(_parse_sequence(args.sequence))
-    for line in _report_lines(report):
-        out(line)
+    out("\n".join(_report_lines(report)))
     return 0 if report.feasible else 1
 
 
@@ -119,8 +120,7 @@ def cmd_construct(args, out: Callable[[str], None]) -> int:
     try:
         coloring = realize(values)
     except InfeasibleSequenceError as exc:
-        for line in _report_lines(exc.report):
-            out(line)
+        out("\n".join(_report_lines(exc.report)))
         _fail(str(exc))
         return 1
     # realize accepted values as nondecreasing and matches them as its

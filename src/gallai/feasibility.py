@@ -14,12 +14,21 @@ scaled by 2^(d_n - d_{k-1}) so both sides are plain integers:
 has the same sign as the dyadic expression, and the sequence is feasible
 iff every slack is nonnegative.  No floating point is used anywhere.
 
-The slacks are built in one pass from the right, k = n down to 1, with a
-running suffix sum, so no table of suffix sums is held.
+The slacks are built in one pass from the right, k = n down to 1, each
+from the next.  Write S_k for the sum and B_k = 2^(d_n - d_{k-1}) for the
+bound of the k-th inequality, e = d_n - d_k and r = d_k - d_{k-1}:
+
+    S_k = S_{k+1} + 2^e,    B_{k+1} = 2^e,    B_k = 2^(e+r),    so
+    slack_k = S_k - B_k = slack_{k+1} + 2^(e+1) - 2^(e+r),
+    starting from slack_{n+1} = 0 - 2^0 = -1.
+
+The step is 0 when r = 1, 2^e when r = 0 and negative when r >= 2, so a
+chain sequence (every rise 1) builds no big integer at all.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,12 +63,13 @@ def validate_sequence(values: Sequence[int]) -> tuple[int, ...]:
     seq = tuple(values)
     if not seq:
         raise MalformedSequenceError("sequence must be nonempty")
-    for d in seq:
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise MalformedSequenceError(f"entries must be integers, got {d!r}")
-        if d < 0:
-            raise MalformedSequenceError(f"entries must be nonnegative, got {d}")
-    if any(a > b for a, b in zip(seq, seq[1:])):
+    if set(map(type, seq)) != {int} or min(seq) < 0:  # name the first bad entry
+        for d in seq:
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise MalformedSequenceError(f"entries must be integers, got {d!r}")
+            if d < 0:
+                raise MalformedSequenceError(f"entries must be nonnegative, got {d}")
+    if any(map(operator.gt, seq, seq[1:])):
         raise MalformedSequenceError(f"sequence must be nondecreasing: {preview(seq)}")
     if len(seq) >= 2 and seq[0] == 0:
         raise MalformedSequenceError(
@@ -76,17 +86,19 @@ def check_sequence(values: Sequence[int]) -> FeasibilityReport:
     feasible here.
     """
     seq = validate_sequence(values)
-    n = len(seq)
     top = seq[-1]
-    slacks = [0] * n
-    first_violation = None
-    suffix = 0  # sum over i >= k of 2^(top - d_i), exact integers
-    for k in range(n, 0, -1):
-        suffix += 1 << (top - seq[k - 1])
-        prev = seq[k - 2] if k >= 2 else 0
-        slack = slacks[k - 1] = suffix - (1 << (top - prev))
-        if slack < 0:
-            first_violation = k
+    slacks = []
+    slack = -1  # slack_{n+1}
+    for d, prev in zip(reversed(seq), (*seq[-2::-1], 0)):  # k = n down to 1
+        rise = d - prev
+        if rise != 1:
+            e = top - d
+            slack += (2 << e) - (1 << (e + rise))
+        slacks.append(slack)
+    slacks.reverse()
+    # the least k with a negative slack: the first negative value, then its first index
+    negative = next(filter((0).__gt__, slacks), None)
+    first_violation = None if negative is None else slacks.index(negative) + 1
     return FeasibilityReport(
         values=seq,
         slacks=tuple(slacks),

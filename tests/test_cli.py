@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, reports, files, and stability."""
 
+import hashlib
 import importlib
 import os
 import random
@@ -23,6 +24,42 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Run the test under the interpreter's default digit limit for integer
+    string conversion, as the console script does."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def slack_table_corpus():
+    """(command, sequence) pairs whose slack tables are pinned byte for byte."""
+    yield "check", [0]
+    for n in range(2, 61):  # chain sequences: every slack is 0
+        yield "check", [*range(1, n), n - 1]
+    rng = random.Random(2027)
+    for i in range(24):
+        seq = duplication_sequence(rng.randrange(2, 3001), rng)
+        if i % 2:  # a unique maximum: infeasible at k = n
+            seq[-1] += rng.randint(1, 40)
+            yield "construct", seq
+        yield "check", seq
+    # big degrees: the slack at k = 1 of [1, top, top] is 2 - 2^(top - 1),
+    # the widest of its table and negative
+    for top in (64, 1000, 4000, 14000):
+        for head in ([1], [1, 1], [1, 2, 3], [2, 2, 2, 2], [3] * 9):
+            yield "check", [*head, top, top]
+            yield "construct", [*head, top, top]
+    yield "check", [5, 1000, 1000]  # the d_k column is wider than its header
 
 
 class TestCheck:
@@ -78,6 +115,15 @@ class TestCheck:
         _, out, _ = run(capsys, "check", "1,1,2,3,3")
         table_rows = [l for l in out.splitlines() if l.lstrip()[:1].isdigit()]
         assert len(table_rows) == 5
+
+    def test_slack_table_bytes_are_pinned(self, capsys, default_digit_limit):
+        # sha256 over repr((command, exit code, stdout, stderr)) of every
+        # call in slack_table_corpus, taken before the table was built by
+        # columns and written in one piece
+        h = hashlib.sha256()
+        for command, seq in slack_table_corpus():
+            h.update(repr((command, *run(capsys, command, ",".join(map(str, seq))))).encode())
+        assert h.hexdigest() == "78be8a84dbcead19c3547bce3f0315800de1c0d994cf359938b4d0ad974aab86"
 
 
 class TestConstruct:
@@ -186,18 +232,27 @@ class TestBoundedMessages:
         assert err == "error: not a comma-separated integer list: '1,two,3'\n"
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
-    @pytest.mark.parametrize("command", ["check", "construct"])
-    def test_slack_past_the_digit_limit_is_named(self, capsys, command):
-        # under the default limit of 4,300 digits str() refuses the slack
-        # 2 - 2^19999 at k=1; the message names k and the slack's size
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-        try:
-            code, out, err = run(capsys, command, "1,20000,20000")
-        finally:
-            sys.set_int_max_str_digits(limit)
+    @pytest.mark.parametrize(
+        "argv, k, bits",
+        [
+            # under the default limit of 4,300 digits str() refuses the
+            # slack 2 - 2^19999 at k=1; the message names k and its size
+            pytest.param([command, "1,20000,20000"], 1, 19999, id=command)
+            for command in ("check", "construct")
+        ]
+        + [
+            # the least unprintable k is named, also under --quiet: the
+            # slacks at k = 2, 3 and 5 of the first are all past the limit
+            pytest.param([command, *quiet, sequence], k, bits, id=f"{command}{'-quiet' if quiet else ''}-{sequence}")
+            for sequence, k, bits in (("2,2,2,2,20000,20000", 2, 20000), ("1,1,20000,20000", 3, 19999))
+            for command in ("check", "construct")
+            for quiet in ([], ["--quiet"])
+        ],
+    )
+    def test_slack_past_the_digit_limit_is_named(self, capsys, default_digit_limit, argv, k, bits):
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "error: slack at k=1 has 19999 bits, too many digits to print\n"
+        assert err == f"error: slack at k={k} has {bits} bits, too many digits to print\n"
 
     def test_undecodable_argument_byte_is_echoed_as_the_byte(self, capsys):
         # how a POSIX argv holds the byte 0xE9 that is not UTF-8

@@ -1,6 +1,8 @@
 """Exact feasibility test, cross-checked against rational arithmetic and
 against the two-loop construction with a table of suffix sums."""
 
+import enum
+import itertools
 import random
 
 import pytest
@@ -19,6 +21,19 @@ nondecreasing = st.lists(st.integers(1, 40), min_size=1, max_size=12).map(
     lambda xs: tuple(sorted(xs))
 )
 
+# longer sequences, built from stretches of one rise d_k - d_{k-1} each:
+# runs of equal entries (rise 0), chain steps (rise 1) and jumps of 2 to 64,
+# up to 301 entries
+stretches = st.lists(st.tuples(st.sampled_from((0, 1)) | st.integers(2, 64), st.integers(1, 20)), max_size=15)
+long_nondecreasing = st.tuples(st.integers(1, 64), stretches).map(
+    lambda t: tuple(itertools.accumulate((rise for rise, times in t[1] for _ in range(times)), initial=t[0]))
+)
+
+
+class Degree(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
 
 class TestValidate:
     def test_accepts_and_freezes(self):
@@ -29,12 +44,22 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "bad",
-        [[], [2, 1], [-1], [0, 1], [1, "2"], [True], [1.0]],
-        ids=["empty", "decreasing", "negative", "zero-n2", "string", "bool", "float"],
+        [[], [2, 1], [-1], [0, 1], [1, "2"], [True], [1.0], [1, True], [1, 1.0]],
+        ids=["empty", "decreasing", "negative", "zero-n2", "string", "bool", "float", "int-then-bool", "int-then-float"],
     )
     def test_rejects(self, bad):
         with pytest.raises(MalformedSequenceError):
             validate_sequence(bad)
+
+    def test_names_the_first_bad_entry(self):
+        with pytest.raises(MalformedSequenceError, match=r"nonnegative, got -1$"):
+            validate_sequence([-1, "2"])
+
+    @pytest.mark.parametrize(
+        "good", [[Degree.ONE, Degree.TWO, Degree.TWO], [2**70, 2**70]], ids=["int-subclass", "huge"]
+    )
+    def test_accepts(self, good):
+        assert validate_sequence(good) == tuple(good)
 
 
 class TestCheckSequence:
@@ -102,7 +127,7 @@ class TestCheckSequence:
         assert report.first_violation == first
         assert report.feasible == (first is None)
 
-    @given(nondecreasing)
+    @given(nondecreasing | long_nondecreasing)
     def test_matches_two_loop_reference(self, seq):
         assert check_sequence(seq) == naive_check_sequence(seq)
 
