@@ -16,6 +16,9 @@ exactly when the input is feasible.  The replay loop starts from that base
 coloring, held as symmetric rows, and applies the recorded duplications
 newest first; each appends one row and one entry per row and updates only
 the two degrees that change: O(n) per step, O(n^2) in total, no recursion.
+The base K_m (m >= 2) is all color 0 and a clone copies its source's edge
+to some other vertex, so every vertex sees color 0, the smallest id: an
+existing-color bridge is always 0.
 """
 
 from __future__ import annotations
@@ -45,11 +48,6 @@ def monochromatic_coloring(n: int) -> EdgeColoring:
     """All edges of K_n in color 0; every color degree is 1 (0 for K_1)."""
     require_count(n, 1, "vertex count")
     return EdgeColoring(n, (0,) * (n * (n - 1) // 2))
-
-
-def _smallest_incident(rows: list[list[int]], v: int) -> int:
-    row = rows[v]
-    return min(row[:v] + row[v + 1:])
 
 
 def _append_clone(rows: list[list[int]], v: int, bridge: int) -> None:
@@ -82,7 +80,7 @@ def duplicate_vertex(
     if choice is DuplicationChoice.EXISTING_COLOR:
         if n == 1:
             raise ValueError("EXISTING_COLOR requires the vertex to have an edge")
-        bridge = _smallest_incident(rows, v)
+        bridge = min(rows[v][:v] + rows[v][v + 1:])
     else:
         bridge = max(coloring.colors, default=-1) + 1
     _append_clone(rows, v, bridge)
@@ -123,7 +121,7 @@ def realize(values: Sequence[int]) -> EdgeColoring:
     # Replay from the base: K_1, or K_n in color 0 for the all-ones sequence.
     rows = monochromatic_coloring(len(seq)).rows()
     degrees = seq  # the base coloring's degrees, by vertex
-    top = 0 if len(seq) > 1 else -1  # largest color id in use
+    top = 0  # largest color id in use; the K_1 base takes no step
     for target, choice in reversed(steps):
         try:
             v = degrees.index(target)
@@ -132,7 +130,7 @@ def realize(values: Sequence[int]) -> EdgeColoring:
                 f"no vertex of degree {target} among {len(rows)} vertices"
             ) from None
         if choice is DuplicationChoice.EXISTING_COLOR:
-            bridge = _smallest_incident(rows, v)
+            bridge = 0
         else:
             top += 1
             bridge = top

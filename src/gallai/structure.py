@@ -7,7 +7,8 @@ sees all of A in a single color, so A can be compressed into one node.
 Colorings containing a vertex adjacent to all distinct colors (an apex)
 are rigid: the remaining vertices order themselves into a transitive
 tournament whose row degrees are 1, 2, ..., n-1.  Where either fails,
-the input has a rainbow triangle, and NotGallaiError names one.
+the input has a rainbow triangle, and NotGallaiError names the
+lexicographically smallest one, the triangle find_rainbow_triangle finds.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 # color_degrees stays importable here: the benchmark's tracer wraps it.
-from .coloring import EdgeColoring, RainbowWitness, color_degrees, find_rainbow_triangle, row_degrees  # noqa: F401
-from .errors import NotGallaiError
+from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle, row_degrees  # noqa: F401
+from .errors import InternalConsistencyError, NotGallaiError
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,25 @@ def _split(rows: list[list[int]], color: int) -> ColorComponentSplit | None:
     return ColorComponentSplit(color, tuple(components))
 
 
-def _witness(rows: list[list[int]], *triangle: int) -> RainbowWitness:
-    """The triangle on three vertices, its colors read off the rows."""
-    i, j, k = sorted(triangle)
-    return RainbowWitness((i, j, k), (rows[i][j], rows[i][k], rows[j][k]))
+def _component(
+    coloring: EdgeColoring, rows: list[list[int]], split: ColorComponentSplit, which: int
+) -> tuple[int, ...]:
+    """Component ``which`` of a split, once the split is checked to be the
+    coloring's own and the index to be in range; ValueError otherwise."""
+    if split.color not in coloring.color_set() or _split(rows, split.color) != split:
+        raise ValueError("split does not match the coloring")
+    if type(which) is not int or not 0 <= which < len(split.components):
+        raise ValueError(f"component index {which} out of range")
+    return split.components[which]
+
+
+def _refusal(coloring: EdgeColoring) -> NotGallaiError:
+    """The refusal of a coloring that a structure fact has shown to hold a
+    rainbow triangle, naming the one ``find_rainbow_triangle`` finds."""
+    witness = find_rainbow_triangle(coloring)
+    if witness is None:
+        raise InternalConsistencyError("a failed structure fact left no rainbow triangle")
+    return NotGallaiError(witness)
 
 
 def find_disconnected_color(coloring: EdgeColoring) -> ColorComponentSplit | None:
@@ -119,11 +135,7 @@ def compress_component(
     ascending order, the merged node comes last.
     """
     rows = coloring.rows()
-    if split.color not in coloring.color_set() or _split(rows, split.color) != split:
-        raise ValueError("split does not match the coloring")
-    if type(which) is not int or not 0 <= which < len(split.components):
-        raise ValueError(f"component index {which} out of range")
-    merged = set(split.components[which])
+    merged = set(_component(coloring, rows, split, which))
     # never empty: the split was checked above, and _split returns >= 2 parts
     outside = [v for v in range(coloring.n) if v not in merged]
 
@@ -133,11 +145,8 @@ def compress_component(
         row = rows[w]
         into = {row[a] for a in merged}
         if len(into) != 1:
-            # split.color connects the component and has no edge to w, so one
-            # of its edges (a, b) in the component has c(w, a) != c(w, b)
-            comp = split.components[which]
-            a, b = next((a, b) for a in comp for b in comp if rows[a][b] == split.color and row[a] != row[b])
-            raise NotGallaiError(_witness(rows, w, a, b))
+            # a split.color edge (a, b) of the component has c(w, a) != c(w, b): w, a, b is rainbow
+            raise _refusal(coloring)
         c = into.pop()
         outside_colors.append(c)
         reduced_rows.append([row[x] for x in outside] + [c])
@@ -158,10 +167,11 @@ def compression_degree_bounds(
     (v, color degree in the full coloring, color degree within the
     component).  The full degree never exceeds the within-component degree
     plus the compression's outside_color_count, since v's outside edges
-    carry exactly the outside colors.
+    carry exactly the outside colors.  The split and the index are checked
+    as ``compress_component`` checks them.
     """
-    merged = split.components[which]
     rows = coloring.rows()
+    merged = _component(coloring, rows, split, which)
     degrees = row_degrees(rows)
     return [(v, degrees[v], len({rows[v][u] for u in merged if u != v})) for v in merged]
 
@@ -178,12 +188,15 @@ def recover_chain_order(coloring: EdgeColoring) -> ChainOrder:
     """Reconstruct the transitive order forced by a full-degree vertex.
 
     The apex (chosen as the highest-indexed vertex of color degree n-1)
-    sees distinct colors toward all others, so each remaining edge {i, j}
-    must reuse the apex color of i or of j; orienting i -> j in the first
-    case yields a tournament without directed triangles.  A row vertex
-    sees one color on the apex edge and its out-edges, and a distinct one
-    per in-edge, so its color degree is 1 plus its in-degree: the row is
-    the degree order (ties by index), and position p has degree p.
+    sees distinct colors toward all others.  A row vertex sees one color on
+    the apex edge and its out-edges, and a distinct one per in-edge, so
+    its color degree is 1 plus its in-degree: the row is the degree order
+    (ties by index), and position p has degree p.  One pass decides: if
+    every c(i, j) with i before j is the apex color of i, every triangle
+    repeats a color.  A failing pair means a rainbow triangle: either some
+    edge reuses neither apex color and is rainbow with the apex, or the
+    tournament orienting i -> j where c(i, j) is i's apex color has a
+    directed 3-cycle, whose three apex colors are distinct.
     """
     n = coloring.n
     if n < 2:
@@ -194,25 +207,13 @@ def recover_chain_order(coloring: EdgeColoring) -> ChainOrder:
     if not apexes:
         raise ValueError(f"no vertex of color degree {n - 1}")
     apex = max(apexes)
-    rest = [v for v in range(n) if v != apex]
-
     apex_row = rows[apex]
-    for idx, i in enumerate(rest):
-        row_i = rows[i]
-        for j in rest[idx + 1 :]:
-            if row_i[j] != apex_row[i] and row_i[j] != apex_row[j]:
-                raise NotGallaiError(_witness(rows, i, j, apex))
-
-    order = tuple(sorted(rest, key=lambda v: (degrees[v], v)))
-    # apex colors are pairwise distinct, so i -> j exactly when the edge
-    # reuses the apex color of i
+    order = tuple(sorted((v for v in range(n) if v != apex), key=lambda v: (degrees[v], v)))
     for idx, i in enumerate(order):
         row_i, own = rows[i], apex_row[i]
         for j in order[idx + 1 :]:
             if row_i[j] != own:
-                # j -> i: unless some i -> k -> j, j has fewer in-edges than i
-                k = next(k for k in rest if row_i[k] == own and rows[k][j] == apex_row[k])
-                raise NotGallaiError(_witness(rows, i, j, k))
+                raise _refusal(coloring)
     return ChainOrder(apex=apex, order=order)
 
 

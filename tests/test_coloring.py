@@ -25,6 +25,7 @@ from gallai import (
     uniform_coloring,
 )
 from gallai.cli import main
+from gallai.structure import compression_degree_bounds
 from oracles import (
     colorings,
     few_color_colorings,
@@ -315,6 +316,10 @@ BOOL_ARGUMENTS = {
     "color-id": (lambda: color_component_split(CHAIN_4, True), "color True does not appear in the coloring"),
     "component-index": (
         lambda: compress_component(CHAIN_4, color_component_split(CHAIN_4, 2), True),
+        "component index True out of range",
+    ),
+    "component-index-bounds": (
+        lambda: compression_degree_bounds(CHAIN_4, color_component_split(CHAIN_4, 2), True),
         "component index True out of range",
     ),
 }

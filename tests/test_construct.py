@@ -215,6 +215,14 @@ class TestRealize:
                 assert is_gallai(c)
                 assert tuple(sorted(color_degrees(c))) == seq
 
+    def test_every_vertex_sees_color_zero(self):
+        # the base K_m is all color 0 and each clone copies an edge of its
+        # source, so an existing-color bridge can always be 0
+        for n in range(2, 9):
+            for seq in feasible_sequences(n):
+                rows = realize(seq).rows()
+                assert all(0 in row for row in rows), seq
+
     def test_deterministic(self):
         assert realize([1, 2, 3, 3]) == realize([1, 2, 3, 3])
 

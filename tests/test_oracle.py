@@ -31,15 +31,18 @@ from gallai import (
     brute_force_gallai_partition,
     check_sequence,
     color_degrees,
+    compress_component,
     crosscheck,
     find_disconnected_color,
     is_gallai,
     normalize_colors,
     prefix_color_bound_report,
+    recover_chain_order,
     uniform_coloring,
 )
 from gallai.construct import monochromatic_coloring
 from gallai.oracle import _partitions_by_block_count, candidate_sequences
+from gallai.structure import compression_degree_bounds
 from oracles import (
     enumerate_gallai,
     key_ordered,
@@ -65,6 +68,13 @@ ORDERED_SEVEN_VERTEX_COUNT = 37373
 # Key-ordered colorings at n = 7 with a color of disconnected span, as
 # find_disconnected_color first counted them.
 SEVEN_VERTEX_SPLITS = 11702
+# Their compressions, one per component, each with one vertex bound per
+# vertex of the component, and the leaves with a vertex of degree 6, as
+# compress_component, compression_degree_bounds and recover_chain_order
+# first counted them.
+SEVEN_VERTEX_COMPRESSIONS = 36151
+SEVEN_VERTEX_BOUNDS = 81914
+SEVEN_VERTEX_APEXES = 1
 
 # sha256 over the reprs of brute_force_gallai_partition of every
 # enumerated coloring for n = 2..5, taken from the implementation that read
@@ -207,6 +217,18 @@ def seven():
         tally["split"] += split is not None
         unsplit = split is None and len(coloring.color_set()) >= 3
         tally["three or more colors, no split"] += unsplit
+        for which in range(len(split.components) if split else 0):
+            result = compress_component(coloring, split, which)
+            tally["compression"] += 1
+            tally["compression stays Gallai"] += is_gallai(result.reduced)
+            for _, full, within in compression_degree_bounds(coloring, split, which):
+                tally["vertex bound"] += 1
+                tally["vertex bound holds"] += full <= within + result.outside_color_count
+        if 6 in degrees:
+            # an apex: the row recovers degrees 1..6
+            _, order = recover_chain_order(coloring)
+            tally["apex"] += 1
+            tally["apex row has degrees 1..6"] += [degrees[v] for v in order] == [1, 2, 3, 4, 5, 6]
 
     count, sequences = sweep_stats(7, visit)
     return count, sequences, tally
@@ -245,6 +267,12 @@ class TestOrderedSweep:
             "prefix bound holds": ORDERED_SEVEN_VERTEX_COUNT,
             "split": SEVEN_VERTEX_SPLITS,
             "three or more colors, no split": 0,
+            "compression": SEVEN_VERTEX_COMPRESSIONS,
+            "compression stays Gallai": SEVEN_VERTEX_COMPRESSIONS,
+            "vertex bound": SEVEN_VERTEX_BOUNDS,
+            "vertex bound holds": SEVEN_VERTEX_BOUNDS,
+            "apex": SEVEN_VERTEX_APEXES,
+            "apex row has degrees 1..6": SEVEN_VERTEX_APEXES,
         }
 
     def test_crosscheck_guards_before_any_walk(self, monkeypatch):

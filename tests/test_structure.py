@@ -20,6 +20,7 @@ from gallai import (
     compress_component,
     duplicate_vertex,
     find_disconnected_color,
+    find_rainbow_triangle,
     is_gallai,
     prefix_color_bound_report,
     recover_chain_order,
@@ -178,17 +179,21 @@ class TestCompressComponent:
         assert result.reduced.color(0, 2) == 0
         assert result.reduced.color(1, 2) == 1
 
-    def test_stale_split_rejected(self):
+    @pytest.mark.parametrize("function", [compress_component, compression_degree_bounds])
+    @pytest.mark.parametrize("which", [0, 2])
+    def test_stale_split_rejected(self, function, which):
         base = chain_coloring(4)
         split = color_component_split(base, 2)
-        with pytest.raises(ValueError):
-            compress_component(chain_coloring(5), split, 2)
+        with pytest.raises(ValueError, match="^split does not match the coloring$"):
+            function(chain_coloring(5), split, which)
 
-    def test_component_index_out_of_range(self):
+    @pytest.mark.parametrize("function", [compress_component, compression_degree_bounds])
+    @pytest.mark.parametrize("which", [3, -1])
+    def test_component_index_out_of_range(self, function, which):
         base = chain_coloring(4)
         split = color_component_split(base, 2)
-        with pytest.raises(ValueError):
-            compress_component(base, split, 3)
+        with pytest.raises(ValueError, match=rf"^component index {which} out of range$"):
+            function(base, split, which)
 
     def test_ill_defined_merge_detected(self):
         split = color_component_split(ILL_DEFINED_MERGE, 2)
@@ -301,14 +306,15 @@ class TestRecoverChainOrderChecks:
         assert order == tuple(perm[:28]) + (min(top),)
 
     def test_edge_outside_apex_colors(self):
-        # the edge is rainbow together with the apex
+        # the edge (0, 1) is rainbow with the apex 3; the refusal names the
+        # smallest rainbow triangle, which does not contain the apex
         with pytest.raises(
             NotGallaiError,
-            match=r"^coloring contains rainbow triangle \(0, 1, 3\) with colors \(5, 0, 1\)$",
+            match=r"^coloring contains rainbow triangle \(0, 1, 2\) with colors \(5, 0, 1\)$",
         ) as refusal:
             recover_chain_order(EDGE_OUTSIDE_APEX_COLORS)
         witness = refusal.value.witness
-        assert (witness.vertices, witness.colors) == ((0, 1, 3), (5, 0, 1))
+        assert (witness.vertices, witness.colors) == ((0, 1, 2), (5, 0, 1))
 
     def test_cyclic_tournament(self):
         # the first back edge (0, 2) and 0 -> 1 -> 2 carry three apex colors
@@ -369,7 +375,9 @@ def test_rainbow_input_is_refused_with_a_witness(coloring):
     return or raise ValueError; a NotGallaiError names a rainbow triangle
     of the coloring.  InternalConsistencyError, which is not a ValueError,
     fails the test.  Every component of every color is compressed, since
-    find_disconnected_color refuses rainbow input before splitting it."""
+    find_disconnected_color refuses rainbow input before splitting it.
+    Every refusal names the triangle find_rainbow_triangle finds, the
+    lexicographically smallest one."""
     calls = [
         (function, (coloring,))
         for function in (
@@ -389,6 +397,7 @@ def test_rainbow_input_is_refused_with_a_witness(coloring):
             function(*args)
         except NotGallaiError as refusal:
             assert_rainbow(coloring, refusal.witness)
+            assert refusal.witness == find_rainbow_triangle(coloring)
         except ValueError:
             pass
 
