@@ -184,9 +184,10 @@ def _parse_int(token: str, lineno: int) -> int:
 
 def render_dot(coloring: EdgeColoring) -> str:
     """DOT graph with one pen color per color id, byte-stable."""
+    pens = {c: pen_color(c) for c in coloring.color_set()}
     lines = ["graph coloring {", "  node [shape=circle];"]
     for u, upper in enumerate(coloring.upper_rows()):
         prefix = f"  {u} -- "
-        lines += [f'{prefix}{v} [color="{pen_color(c)}"];' for v, c in enumerate(upper, u + 1)]
+        lines += [f'{prefix}{v} [color="{pens[c]}"];' for v, c in enumerate(upper, u + 1)]
     lines.append("}")
     return "\n".join(lines) + "\n"

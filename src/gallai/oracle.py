@@ -23,6 +23,16 @@ key puts any coloring in that order, so no sequence is lost; the leaf's
 degrees are already sorted.  A row stops as soon as its vertex can no
 longer reach the degree of the one before it.
 
+The partition search wants the first Gallai partition in the order of a
+generator of all set partitions: by part count, then by restricted-growth
+string.  It walks those strings for each part count, vertex by vertex,
+lowest label first, and checks each placed vertex's edges to the other
+parts as it goes: a part pair takes the color of its first edge and
+every later edge must repeat it.  Placed labels never change, so a branch
+the checks cut holds no valid partition, and at the least part count a
+partition with monochromatic part pairs has at most two cross colors, so
+the walk's first leaf is the generator's first hit.
+
 The crosscheck and the brute-force partition search are each small enough
 to serve as an independent referee for the analytic modules.
 """
@@ -184,35 +194,69 @@ def crosscheck(n: int) -> CrosscheckResult:
     )
 
 
-def _partitions_by_block_count(n: int) -> Iterator[list[list[int]]]:
-    """Set partitions of range(n), ordered by number of parts ascending and
-    then lexicographically by restricted-growth string."""
+def _first_labels(rows: list[list[int]], k: int) -> list[int] | None:
+    """The first restricted-growth labeling of the vertices with k labels
+    whose part pairs are each joined in one color, or None.  ``rows`` is
+    the color matrix of ``EdgeColoring.rows()``."""
+    n = len(rows)
     labels = [0] * n
+    # pair_color[a * k + b], a != b: the color joining parts a and b so
+    # far, -1 while no placed edge joins them; kept in both orders
+    pair_color = [-1] * (k * k)
 
-    def assign(i: int, top: int, k: int) -> Iterator[list[list[int]]]:
-        if i == n:  # the pruning below leaves top == k - 1 at every leaf
-            parts: list[list[int]] = [[] for _ in range(k)]
-            for v, a in enumerate(labels):
-                parts[a].append(v)
-            yield parts
-            return
-        # a fresh label is only allowed while k labels remain reachable
+    def place(i: int, top: int) -> bool:
+        if i == n:  # the reach test leaves top == k - 1 here
+            return True
+        row = rows[i]
         for a in range(min(top + 1, k - 1) + 1):
+            # a fresh label is only allowed while k labels remain reachable
             if k - 1 - max(top, a) > n - 1 - i:
                 continue
-            labels[i] = a
-            yield from assign(i + 1, max(top, a), k)
+            fixed: list[int] = []  # the parts whose pair color i fixed
+            for u in range(i):
+                b = labels[u]
+                if b == a:
+                    continue
+                have = pair_color[a * k + b]
+                if have == -1:
+                    pair_color[a * k + b] = pair_color[b * k + a] = row[u]
+                    fixed.append(b)
+                elif have != row[u]:
+                    break
+            else:
+                labels[i] = a
+                if place(i + 1, max(top, a)):
+                    return True
+            for b in fixed:
+                pair_color[a * k + b] = pair_color[b * k + a] = -1
+        return False
 
-    for k in range(2, n + 1):
-        yield from assign(1, 0, k)
+    return labels if place(1, 0) else None
 
 
 def brute_force_gallai_partition(coloring: EdgeColoring) -> GallaiPartition:
     """First vertex partition (parts ascending, then lexicographic) whose
     part pairs are each monochromatic with at most two cross colors total.
 
-    Existence is guaranteed for every rainbow-free coloring, so exhausting
-    the scan without a hit is an internal failure, not a normal outcome.
+    That is the first hit of a generate-and-test over all set partitions
+    of the vertices, by part count and then by restricted-growth string.
+    For each k = 2, 3, ..., a backtracking walk finds it directly: vertex
+    0 takes label 0, vertices 1..n-1 take labels in turn, lowest first, so
+    complete labelings arrive in that same order.  Placing vertex i checks
+    its edges to earlier vertices of other parts: the first edge between
+    two parts fixes their color and each later one must repeat it.  A
+    placed label never changes, so a labeling cut by a check fails it in
+    every completion too, and the walk's first leaf is the first partition
+    with monochromatic part pairs.
+
+    The walk need not count cross colors.  One vertex from each part of
+    such a partition spans a Gallai coloring of K_k; if its part pairs
+    used three colors, that coloring's own Gallai partition would merge
+    the parts into a valid partition with fewer than k parts, which the
+    walk would have found at a smaller k.  So the first leaf has at most
+    two cross colors and is the brute-force choice.  Existence is
+    guaranteed for every rainbow-free coloring, so exhausting the walk
+    without a hit is an internal failure, not a normal outcome.
     """
     n = coloring.n
     if n < 2:
@@ -224,24 +268,24 @@ def brute_force_gallai_partition(coloring: EdgeColoring) -> GallaiPartition:
         raise NotGallaiError(witness)
 
     rows = coloring.rows()
-    for parts in _partitions_by_block_count(n):
+    for k in range(2, n + 1):
+        labels = _first_labels(rows, k)
+        if labels is None:
+            continue
+        parts: list[list[int]] = [[] for _ in range(k)]
+        for v, a in enumerate(labels):
+            parts[a].append(v)
         cross_colors: set[int] = set()
         part_pair_color: dict[tuple[int, int], int] = {}
-        for i, j in itertools.combinations(range(len(parts)), 2):
-            joining = {rows[u][v] for u in parts[i] for v in parts[j]}
-            if len(joining) != 1:
-                break
-            color = joining.pop()
+        for i, j in itertools.combinations(range(k), 2):
+            color = rows[parts[i][0]][parts[j][0]]
             part_pair_color[(i, j)] = color
             cross_colors.add(color)
-            if len(cross_colors) > 2:
-                break
-        else:
-            return GallaiPartition(
-                parts=tuple(tuple(p) for p in parts),
-                cross_colors=frozenset(cross_colors),
-                part_pair_color=part_pair_color,
-            )
+        return GallaiPartition(
+            parts=tuple(tuple(p) for p in parts),
+            cross_colors=frozenset(cross_colors),
+            part_pair_color=part_pair_color,
+        )
     raise InternalConsistencyError(
         "no valid partition found for a rainbow-free coloring"
     )

@@ -7,8 +7,8 @@ slower or more literal route, so that tests can compare the two.
 ``crosscheck``'s sweep visits; it builds its own tables and shares no
 code with the sweep, and ``unfiltered_reference`` referees it in turn.
 ``sweep_stats`` counts the leaves of the sweep, which the package reads
-only for their degrees.  The Hypothesis strategies and sequence
-generators here are drawn by more than one test module.  This module
+only for their degrees.  The Hypothesis strategies, sequence generators
+and ``relabelled`` here are drawn by more than one test module.  This module
 holds no tests.
 """
 
@@ -56,6 +56,21 @@ def colorings(draw, max_n=6, max_color=None):
     top = m if max_color is None else max_color
     values = draw(st.lists(st.integers(0, top), min_size=m, max_size=m))
     return EdgeColoring(n, tuple(values))
+
+
+def relabelled(coloring, perm):
+    """The coloring with vertex v renamed perm[v]."""
+    n = coloring.n
+    inverse = [0] * n
+    for v, w in enumerate(perm):
+        inverse[w] = v
+    return EdgeColoring(
+        n,
+        tuple(
+            coloring.color(inverse[a], inverse[b])
+            for a, b in itertools.combinations(range(n), 2)
+        ),
+    )
 
 
 @st.composite

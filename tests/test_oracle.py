@@ -40,16 +40,18 @@ from gallai import (
     recover_chain_order,
     uniform_coloring,
 )
-from gallai.construct import monochromatic_coloring
-from gallai.oracle import _partitions_by_block_count, candidate_sequences
+from gallai.construct import chain_coloring, monochromatic_coloring, realize
+from gallai.oracle import candidate_sequences
 from gallai.structure import compression_degree_bounds
 from oracles import (
     enumerate_gallai,
+    feasible_sequences,
     key_ordered,
     naive_enumeration_stats,
     naive_gallai_partition,
     naive_partitions,
     outcome,
+    relabelled,
     sweep_stats,
     unfiltered_reference,
 )
@@ -293,13 +295,15 @@ class TestOrderedSweep:
 
 
 class TestPartitionScan:
+    """``naive_partitions`` defines the order the partition walk follows."""
+
     def test_count_is_bell_minus_one(self):
         # proper partitions only: Bell(4) - 1 = 14, Bell(5) - 1 = 51
-        assert sum(1 for _ in _partitions_by_block_count(4)) == 14
-        assert sum(1 for _ in _partitions_by_block_count(5)) == 51
+        assert sum(1 for _ in naive_partitions(4)) == 14
+        assert sum(1 for _ in naive_partitions(5)) == 51
 
     def test_order_for_three(self):
-        assert list(_partitions_by_block_count(3)) == [
+        assert list(naive_partitions(3)) == [
             [[0, 1], [2]],
             [[0, 2], [1]],
             [[0], [1, 2]],
@@ -308,10 +312,17 @@ class TestPartitionScan:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_unpruned_sort(self, n):
-        assert list(_partitions_by_block_count(n)) == list(naive_partitions(n))
+        # the pruned walk's first leaf is the first valid partition of the
+        # unpruned sort, on every rotation of the chain's vertices
+        chain = chain_coloring(n)
+        for shift in range(n):
+            coloring = relabelled(chain, [(v + shift) % n for v in range(n)])
+            assert outcome(brute_force_gallai_partition, coloring) == outcome(
+                naive_gallai_partition, coloring
+            )
 
     def test_every_output_partitions_the_range(self):
-        for parts in _partitions_by_block_count(5):
+        for parts in naive_partitions(5):
             flat = sorted(v for part in parts for v in part)
             assert flat == list(range(5))
             assert all(part for part in parts)
@@ -384,3 +395,34 @@ class TestGallaiPartitionMatchesOracle:
             assert outcome(brute_force_gallai_partition, coloring) == expected
             found += isinstance(expected, GallaiPartition)
         assert 0 < found < 500
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_realized_sequences(self, n):
+        # realize's colorings hide their first valid partition deep in the
+        # order, where generate-and-test was slowest
+        rng = random.Random(n)
+        for seq in feasible_sequences(n):
+            built = realize(seq)
+            for coloring in (built, relabelled(built, rng.sample(range(n), n))):
+                assert outcome(brute_force_gallai_partition, coloring) == outcome(
+                    naive_gallai_partition, coloring
+                ), seq
+
+    @pytest.mark.parametrize(
+        "coloring",
+        [
+            chain_coloring(9),
+            chain_coloring(10),
+            relabelled(chain_coloring(10), range(9, -1, -1)),
+        ],
+        ids=["chain-9", "chain-10", "chain-10-reversed"],
+    )
+    def test_chains(self, coloring):
+        assert brute_force_gallai_partition(coloring) == naive_gallai_partition(coloring)
+
+    def test_pinned_at_ten(self):
+        chain = brute_force_gallai_partition(chain_coloring(10))
+        assert chain.parts == ((0,), tuple(range(1, 10)))
+        assert chain.cross_colors == frozenset({0})
+        realized = brute_force_gallai_partition(realize([*range(1, 10), 9]))
+        assert realized.parts == ((0, *range(2, 10)), (1,))

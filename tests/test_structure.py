@@ -35,6 +35,7 @@ from oracles import (
     naive_recover_chain_order,
     outcome,
     recolored,
+    relabelled,
 )
 
 RAINBOW_K3 = EdgeColoring(3, (0, 1, 2))
@@ -76,21 +77,6 @@ def assert_rainbow(coloring, witness):
     assert i < j < k
     assert witness.colors == (coloring.color(i, j), coloring.color(i, k), coloring.color(j, k))
     assert len(set(witness.colors)) == 3
-
-
-def relabelled(coloring, perm):
-    """The coloring with vertex v renamed perm[v]."""
-    n = coloring.n
-    inverse = [0] * n
-    for v, w in enumerate(perm):
-        inverse[w] = v
-    return EdgeColoring(
-        n,
-        tuple(
-            coloring.color(inverse[a], inverse[b])
-            for a, b in itertools.combinations(range(n), 2)
-        ),
-    )
 
 
 def duplication_coloring(n, seed):
