@@ -26,12 +26,10 @@ longer reach the degree of the one before it.
 The partition search wants the first Gallai partition in the order of a
 generator of all set partitions: by part count, then by restricted-growth
 string.  It walks those strings for each part count, vertex by vertex,
-lowest label first, and checks each placed vertex's edges to the other
-parts as it goes: a part pair takes the color of its first edge and
-every later edge must repeat it.  Placed labels never change, so a branch
-the checks cut holds no valid partition, and at the least part count a
-partition with monochromatic part pairs has at most two cross colors, so
-the walk's first leaf is the generator's first hit.
+lowest label first, and cuts a branch at the first edge between two parts
+whose color is not the one joining the parts' leaders, their smallest
+vertices; ``brute_force_gallai_partition`` says why its first leaf is the
+generator's first hit.
 
 The crosscheck and the brute-force partition search are each small enough
 to serve as an independent referee for the analytic modules.
@@ -52,6 +50,10 @@ from .feasibility import check_sequence
 # 37,373 at n = 7 (1.4-2.3 s); n = 8 visits 3,552,762 and takes about
 # 105 s (2-vCPU VM, Python 3.11).
 ENUMERATION_SIZE_LIMIT = 7
+# The partition walk is still exponential in n at worst, and ROADMAP.md
+# item 3 keeps its choice as the CLI's answer for n <= 10.  To its first
+# hit it takes at most 0.5 ms on realize's outputs at n = 10 and at most
+# 5 ms on random two-colorings at n = 10-12 (2-vCPU VM, Python 3.11).
 PARTITION_SIZE_LIMIT = 10
 
 
@@ -197,12 +199,19 @@ def crosscheck(n: int) -> CrosscheckResult:
 def _first_labels(rows: list[list[int]], k: int) -> list[int] | None:
     """The first restricted-growth labeling of the vertices with k labels
     whose part pairs are each joined in one color, or None.  ``rows`` is
-    the color matrix of ``EdgeColoring.rows()``."""
+    the color matrix of ``EdgeColoring.rows()``.
+
+    ``leaders[a]`` is part a's smallest vertex, written when it opens label
+    a; a label above the walk's top is never read, so backtracking undoes
+    nothing.  Vertex i takes label a only if its edge to each earlier u of
+    another part b has the leaders' color ``rows[l_a][l_b]``, l_a being i
+    for a fresh label.  Checking each edge against the first edge met
+    between its parts accepts the same placements: that edge is met when
+    the later leader's ascending scan reaches the other leader.
+    """
     n = len(rows)
     labels = [0] * n
-    # pair_color[a * k + b], a != b: the color joining parts a and b so
-    # far, -1 while no placed edge joins them; kept in both orders
-    pair_color = [-1] * (k * k)
+    leaders = [0] * k
 
     def place(i: int, top: int) -> bool:
         if i == n:  # the reach test leaves top == k - 1 here
@@ -212,23 +221,17 @@ def _first_labels(rows: list[list[int]], k: int) -> list[int] | None:
             # a fresh label is only allowed while k labels remain reachable
             if k - 1 - max(top, a) > n - 1 - i:
                 continue
-            fixed: list[int] = []  # the parts whose pair color i fixed
+            if a > top:
+                leaders[a] = i
+            lead = rows[leaders[a]]
             for u in range(i):
                 b = labels[u]
-                if b == a:
-                    continue
-                have = pair_color[a * k + b]
-                if have == -1:
-                    pair_color[a * k + b] = pair_color[b * k + a] = row[u]
-                    fixed.append(b)
-                elif have != row[u]:
+                if b != a and row[u] != lead[leaders[b]]:
                     break
             else:
                 labels[i] = a
                 if place(i + 1, max(top, a)):
                     return True
-            for b in fixed:
-                pair_color[a * k + b] = pair_color[b * k + a] = -1
         return False
 
     return labels if place(1, 0) else None
@@ -243,9 +246,9 @@ def brute_force_gallai_partition(coloring: EdgeColoring) -> GallaiPartition:
     For each k = 2, 3, ..., a backtracking walk finds it directly: vertex
     0 takes label 0, vertices 1..n-1 take labels in turn, lowest first, so
     complete labelings arrive in that same order.  Placing vertex i checks
-    its edges to earlier vertices of other parts: the first edge between
-    two parts fixes their color and each later one must repeat it.  A
-    placed label never changes, so a labeling cut by a check fails it in
+    its edges to earlier vertices of other parts against the color joining
+    the parts' leaders, their smallest vertices, which the answer reports.
+    A placed label never changes, so a labeling cut by a check fails it in
     every completion too, and the walk's first leaf is the first partition
     with monochromatic part pairs.
 
@@ -272,18 +275,14 @@ def brute_force_gallai_partition(coloring: EdgeColoring) -> GallaiPartition:
         labels = _first_labels(rows, k)
         if labels is None:
             continue
-        parts: list[list[int]] = [[] for _ in range(k)]
-        for v, a in enumerate(labels):
-            parts[a].append(v)
-        cross_colors: set[int] = set()
-        part_pair_color: dict[tuple[int, int], int] = {}
-        for i, j in itertools.combinations(range(k), 2):
-            color = rows[parts[i][0]][parts[j][0]]
-            part_pair_color[(i, j)] = color
-            cross_colors.add(color)
+        parts = [[v for v in range(n) if labels[v] == a] for a in range(k)]
+        part_pair_color = {
+            (i, j): rows[parts[i][0]][parts[j][0]]
+            for i, j in itertools.combinations(range(k), 2)
+        }
         return GallaiPartition(
             parts=tuple(tuple(p) for p in parts),
-            cross_colors=frozenset(cross_colors),
+            cross_colors=frozenset(part_pair_color.values()),
             part_pair_color=part_pair_color,
         )
     raise InternalConsistencyError(

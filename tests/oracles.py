@@ -461,6 +461,20 @@ def naive_partitions(n):
             yield [[v for v in range(n) if s[v] == a] for a in range(max(s) + 1)]
 
 
+def naive_first_labels(coloring, k):
+    """Reference for ``oracle._first_labels``: the labels of the first
+    ``naive_partitions`` candidate with k parts whose part pairs are each
+    joined in one color, however many colors join them, or None."""
+    rows = coloring.rows()
+    for parts in naive_partitions(coloring.n):
+        if len(parts) == k and all(
+            len({rows[u][v] for u in p for v in q}) == 1
+            for p, q in itertools.combinations(parts, 2)
+        ):
+            return [a for v in range(coloring.n) for a, part in enumerate(parts) if v in part]
+    return None
+
+
 def naive_gallai_partition(coloring):
     """Reference for ``brute_force_gallai_partition``: a flag and a double
     break over the part pairs of each ``naive_partitions`` candidate."""

@@ -111,6 +111,13 @@ class TestCheck:
         assert code == 2
         assert "nonnegative" in err
 
+    def test_spaces_around_entries_change_nothing(self, capsys):
+        # int() reads each comma-separated entry with its surrounding ASCII
+        # whitespace, as README states
+        spaced = run(capsys, "check", " 1, 2 ,2")
+        assert spaced == run(capsys, "check", "1,2,2")
+        assert spaced[0] == 0
+
     def test_table_lists_every_k(self, capsys):
         _, out, _ = run(capsys, "check", "1,1,2,3,3")
         table_rows = [l for l in out.splitlines() if l.lstrip()[:1].isdigit()]

@@ -41,13 +41,14 @@ from gallai import (
     uniform_coloring,
 )
 from gallai.construct import chain_coloring, monochromatic_coloring, realize
-from gallai.oracle import candidate_sequences
+from gallai.oracle import _first_labels, candidate_sequences
 from gallai.structure import compression_degree_bounds
 from oracles import (
     enumerate_gallai,
     feasible_sequences,
     key_ordered,
     naive_enumeration_stats,
+    naive_first_labels,
     naive_gallai_partition,
     naive_partitions,
     outcome,
@@ -326,6 +327,30 @@ class TestPartitionScan:
             flat = sorted(v for part in parts for v in part)
             assert flat == list(range(5))
             assert all(part for part in parts)
+
+
+class TestFirstLabels:
+    def test_every_part_count_matches_the_unpruned_sort(self, enumerated):
+        # every k, including those the walk exhausts, and rainbow inputs,
+        # which brute_force_gallai_partition refuses before any walk
+        rng = random.Random(3)
+        colorings = [c for n in range(2, 6) for c in enumerated[n]] + [
+            EdgeColoring(n, tuple(rng.randrange(3) for _ in range(n * (n - 1) // 2)))
+            for n in range(2, 7)
+            for _ in range(40)
+        ]
+        tally = Counter()
+        for coloring in colorings:
+            tally["rainbow"] += not is_gallai(coloring)
+            rows = coloring.rows()
+            for k in range(2, coloring.n + 1):
+                labels = _first_labels(rows, k)
+                assert labels == naive_first_labels(coloring, k), (coloring, k)
+                tally["case"] += 1
+                tally["none"] += labels is None
+        assert tally["case"] == 5258
+        assert 0 < tally["none"] < tally["case"]
+        assert tally["rainbow"] > 0
 
 
 class TestGallaiPartition:
