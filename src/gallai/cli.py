@@ -5,6 +5,13 @@ Exit codes: 0 success or feasible, 1 semantic negative (infeasible
 sequence, rainbow triangle, oracle mismatch), 2 usage, parse, or size
 guard.  All informational output is byte-stable for identical inputs;
 --quiet suppresses it without touching exit codes or written files.
+
+One table, _COMMANDS, states each subcommand's arguments.  main reads a
+plainly spelled command line straight from that table: the subcommand,
+then exact option spellings and values, each value in its own token and
+none starting with "-".  Anything else goes to the argparse parser built
+from the same table: help, "--", "--output=PATH", abbreviations such as
+"--qu", and every usage error, so those keep argparse's own text.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle
 from .construct import chain_coloring, realize, uniform_coloring
@@ -159,11 +166,16 @@ def cmd_verify(args, out: Callable[[str], None]) -> int:
 
 
 def cmd_generate(args, out: Callable[[str], None]) -> int:
+    # The sorted color degrees are the ones each family's docstring states,
+    # so they need no recount; each is built after its guard has passed.
+    size = args.size
     if args.kind == "chain":
-        coloring = chain_coloring(args.size)
+        coloring = chain_coloring(size)
+        degrees = [*range(1, size), size - 1]
     else:
-        coloring = uniform_coloring(args.size)
-    _deliver(coloring, sorted(color_degrees(coloring)), args, out)
+        coloring = uniform_coloring(size)
+        degrees = [size] * 2**size
+    _deliver(coloring, degrees, args, out)
     return 0
 
 
@@ -197,9 +209,73 @@ def cmd_partition(args, out: Callable[[str], None]) -> int:
     return 0
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-o", "--output", metavar="PATH", help="write the coloring document here instead of stdout")
-    sub.add_argument("--dot", metavar="PATH", help="also write a DOT export for graph viewers")
+class _Argument(NamedTuple):
+    """One add_argument call.  Without flags it is a positional.  With flags
+    it is an option that takes the next token as its value when it has a
+    metavar, and a store_true flag otherwise."""
+
+    dest: str
+    help: str | None = None
+    flags: tuple[str, ...] = ()
+    metavar: str | None = None
+    type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+
+
+class _Command:
+    """A subcommand: its handler, its help and its arguments in the order
+    build_parser adds them, which fixes the help and usage text."""
+
+    def __init__(self, handler, help_text: str, *arguments: _Argument):
+        self.handler, self.help, self.arguments = handler, help_text, arguments
+        self.positionals = [a for a in arguments if not a.flags]
+        self.options = {flag: a for a in arguments for flag in a.flags}
+        self.defaults = {a.dest: None if a.metavar else False for a in arguments if a.flags}
+
+
+_QUIET = _Argument("quiet", "suppress reports; rely on exit codes and files", ("--quiet",))
+_OUTPUT_FLAGS = (
+    _Argument("output", "write the coloring document here instead of stdout", ("-o", "--output"), "PATH"),
+    _Argument("dot", "also write a DOT export for graph viewers", ("--dot",), "PATH"),
+)
+
+# The grammar: build_parser and _read_plain both read it.
+_COMMANDS = {
+    "check": _Command(
+        cmd_check,
+        "decide feasibility of a degree sequence",
+        _QUIET,
+        _Argument("sequence", "comma-separated nondecreasing integers, e.g. 1,2,2"),
+    ),
+    "construct": _Command(
+        cmd_construct,
+        "build a witness coloring for a feasible sequence",
+        _QUIET,
+        _Argument("sequence", "comma-separated nondecreasing integers"),
+        *_OUTPUT_FLAGS,
+    ),
+    "verify": _Command(
+        cmd_verify, "check a coloring document for rainbow triangles", _QUIET, _Argument("input", "coloring document path")
+    ),
+    "generate": _Command(
+        cmd_generate,
+        "emit a named family member",
+        _QUIET,
+        _Argument("kind", choices=("chain", "uniform")),
+        _Argument("size", "vertex count for chain, bit count for uniform", type=_parse_count),
+        *_OUTPUT_FLAGS,
+    ),
+    "crosscheck": _Command(
+        cmd_crosscheck,
+        "compare enumerated degree sequences against the feasibility test",
+        _QUIET,
+        _Argument("n", type=_parse_count),
+        _Argument("allow_large", "accepted and ignored: every n crosscheck supports runs without it", ("--allow-large",)),
+    ),
+    "partition": _Command(
+        cmd_partition, "find a Gallai partition of a coloring document", _QUIET, _Argument("input", "coloring document path")
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,43 +290,68 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide, realize, and inspect color degree sequences of rainbow-triangle-free colorings.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def sub(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = subs.add_parser(name, help=help_text)
-        p.add_argument("--quiet", action="store_true", help="suppress reports; rely on exit codes and files")
-        p.set_defaults(func=handler)
-        return p
-
-    p = sub("check", cmd_check, "decide feasibility of a degree sequence")
-    p.add_argument("sequence", help="comma-separated nondecreasing integers, e.g. 1,2,2")
-
-    p = sub("construct", cmd_construct, "build a witness coloring for a feasible sequence")
-    p.add_argument("sequence", help="comma-separated nondecreasing integers")
-    _add_output_flags(p)
-
-    p = sub("verify", cmd_verify, "check a coloring document for rainbow triangles")
-    p.add_argument("input", help="coloring document path")
-
-    p = sub("generate", cmd_generate, "emit a named family member")
-    p.add_argument("kind", choices=("chain", "uniform"))
-    p.add_argument("size", type=_parse_count, help="vertex count for chain, bit count for uniform")
-    _add_output_flags(p)
-
-    p = sub("crosscheck", cmd_crosscheck, "compare enumerated degree sequences against the feasibility test")
-    p.add_argument("n", type=_parse_count)
-    p.add_argument("--allow-large", action="store_true", help="accepted and ignored: every n crosscheck supports runs without it")
-
-    p = sub("partition", cmd_partition, "find a Gallai partition of a coloring document")
-    p.add_argument("input", help="coloring document path")
-
+    for name, command in _COMMANDS.items():
+        p = subs.add_parser(name, help=command.help)
+        for a in command.arguments:
+            if not a.flags:
+                p.add_argument(a.dest, type=a.type, choices=a.choices, help=a.help)
+            elif a.metavar is None:
+                p.add_argument(*a.flags, dest=a.dest, action="store_true", help=a.help)
+            else:
+                p.add_argument(*a.flags, dest=a.dest, metavar=a.metavar, help=a.help)
+        p.set_defaults(func=command.handler)
     return parser
 
 
+def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The Namespace build_parser() would return for argv, read without
+    argparse; None where argv is not spelled plainly.  Plain means a
+    subcommand, then only exact option spellings, each valued option
+    followed by its value, and exactly the subcommand's positionals, with
+    no value or positional starting with "-" and every type and choice
+    met.  Whatever it refuses (help, "--", "--output=PATH", abbreviations,
+    every usage error) goes to argparse, which gives its own answer."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {"command": argv[0], "func": command.handler, **command.defaults}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = command.options.get(token)
+        if option is None:
+            if token.startswith("-"):
+                return None
+            positionals.append(token)
+        elif option.metavar is None:
+            values[option.dest] = True
+        else:
+            value = next(tokens, "-")  # a missing value reads as refused
+            if value.startswith("-"):
+                return None
+            values[option.dest] = value
+    if len(positionals) != len(command.positionals):
+        return None
+    for a, token in zip(command.positionals, positionals):
+        if a.choices is not None and token not in a.choices:
+            return None
+        if a.type is not None:
+            try:
+                token = a.type(token)
+            except argparse.ArgumentTypeError:
+                return None
+        values[a.dest] = token
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     out = (lambda line: None) if args.quiet else print
     try:
         return args.func(args, out)

@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, reports, files, and stability."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import os
 import random
 import subprocess
@@ -9,9 +11,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from gallai import CrosscheckResult, EdgeColoring, FeasibilityReport, color_degrees, parse_document, render_document
-from gallai.cli import main
+from gallai import (
+    CrosscheckResult,
+    EdgeColoring,
+    FeasibilityReport,
+    chain_coloring,
+    color_degrees,
+    parse_document,
+    render_document,
+    uniform_coloring,
+)
+from gallai import cli
+from gallai.cli import build_parser, main
 from oracles import duplication_sequence
 
 
@@ -396,6 +410,16 @@ class TestGenerate:
         assert coloring.n == 8
         assert "# degrees: 3, 3, 3, 3, 3, 3, 3, 3" in out
 
+    def test_degrees_line_is_the_recount(self, capsys):
+        # generate prints the degrees the families' docstrings state; they
+        # must be what counting the built coloring gives
+        cases = [("chain", n, chain_coloring) for n in range(1, 65)]
+        cases += [("uniform", d, uniform_coloring) for d in range(8)]
+        for kind, size, build in cases:
+            code, out, _ = run(capsys, "generate", kind, str(size))
+            assert code == 0
+            assert out.splitlines()[0] == "# degrees: " + ", ".join(map(str, sorted(color_degrees(build(size))))), (kind, size)
+
     def test_uniform_guard(self, capsys):
         for bits in ("13", "21"):
             code, _, err = run(capsys, "generate", "uniform", bits)
@@ -615,6 +639,93 @@ class TestSuccessiveCalls:
         assert outcomes(lambda argv: run(capsys, *argv)) == outcomes(self.alone)
 
 
+# argparse's own bytes for these usage errors, as printed before the plain
+# reader existed (Python 3.10 and 3.11 print the same), at 80 columns
+USAGE_ERRORS = {
+    "no-arguments": (
+        [],
+        "usage: gallai [-h] {check,construct,verify,generate,crosscheck,partition} ...\n"
+        "gallai: error: the following arguments are required: command\n",
+    ),
+    "unknown-subcommand": (
+        ["chek", "1,2"],
+        "usage: gallai [-h] {check,construct,verify,generate,crosscheck,partition} ...\n"
+        "gallai: error: argument command: invalid choice: 'chek' (choose from 'check', 'construct', 'verify', "
+        "'generate', 'crosscheck', 'partition')\n",
+    ),
+    "missing-positional": (
+        ["check"],
+        "usage: gallai check [-h] [--quiet] sequence\n"
+        "gallai check: error: the following arguments are required: sequence\n",
+    ),
+    "extra-positional": (
+        ["check", "1,2,2", "extra"],
+        "usage: gallai [-h] {check,construct,verify,generate,crosscheck,partition} ...\n"
+        "gallai: error: unrecognized arguments: extra\n",
+    ),
+    "misspelled-option": (
+        ["check", "--qiet", "1,2"],
+        "usage: gallai [-h] {check,construct,verify,generate,crosscheck,partition} ...\n"
+        "gallai: error: unrecognized arguments: --qiet\n",
+    ),
+    "unknown-kind": (
+        ["generate", "square", "3"],
+        "usage: gallai generate [-h] [--quiet] [-o PATH] [--dot PATH]\n"
+        "                       {chain,uniform} size\n"
+        "gallai generate: error: argument kind: invalid choice: 'square' (choose from 'chain', 'uniform')\n",
+    ),
+    "bad-size": (
+        ["generate", "chain", "x"],
+        "usage: gallai generate [-h] [--quiet] [-o PATH] [--dot PATH]\n"
+        "                       {chain,uniform} size\n"
+        "gallai generate: error: argument size: invalid int value: 'x'\n",
+    ),
+    "missing-value": (
+        ["construct", "1,2,2", "-o"],
+        "usage: gallai construct [-h] [--quiet] [-o PATH] [--dot PATH] sequence\n"
+        "gallai construct: error: argument -o/--output: expected one argument\n",
+    ),
+    "missing-n": (
+        ["crosscheck"],
+        "usage: gallai crosscheck [-h] [--quiet] [--allow-large] n\n"
+        "gallai crosscheck: error: the following arguments are required: n\n",
+    ),
+}
+
+# Tokens the plain reader must read as argparse does, or refuse: every
+# subcommand and kind, values, each option, and spellings only argparse
+# takes (help, "--", abbreviations, joined and "=" values, a lone "-").
+ARGV_ALPHABET = [
+    "check", "construct", "verify", "generate", "crosscheck", "partition", "chain", "uniform",
+    "1,2,2", "3", "g.doc", "x", "-o", "--output", "--dot", "--quiet", "--allow-large",
+    "-h", "--", "-1", "", "--q", "--out", "-ox", "--output=y", "-",
+]
+tokens = st.sampled_from(ARGV_ALPHABET)
+
+
+@st.composite
+def plain_argvs(draw):
+    """A subcommand, a value for each positional and some of its options,
+    in any order: most are plain, so the reader's answers get compared."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    values = st.sampled_from(ARGV_ALPHABET[8:12])
+    words = []
+    for a in cli._COMMANDS[name].arguments:
+        if not a.flags:
+            words.append([draw(st.sampled_from(a.choices) if a.choices else values)])
+        elif draw(st.booleans()):
+            flag = draw(st.sampled_from(a.flags))
+            words.append([flag, draw(values)] if a.metavar else [flag])
+    return [name, *[token for word in draw(st.permutations(words)) for token in word]]
+
+
+argvs = (
+    st.lists(tokens, max_size=6)
+    | st.builds(lambda head, tail: [head, *tail], st.sampled_from(list(cli._COMMANDS)), st.lists(tokens, max_size=6))
+    | plain_argvs()
+)
+
+
 class TestHarness:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -632,6 +743,41 @@ class TestHarness:
         with pytest.raises(SystemExit) as excinfo:
             entry()
         assert excinfo.value.code == 0
+
+    @pytest.mark.parametrize("argv, stderr", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_usage_error_bytes_are_argparse_own(self, capsys, monkeypatch, argv, stderr):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        assert run(capsys, *argv) == (2, "", stderr)
+
+    def test_plain_argv_builds_no_parser(self, capsys):
+        build_parser.cache_clear()
+        assert main(["check", "1,2,2"]) == 0
+        assert build_parser.cache_info().currsize == 0
+        assert main(["check", "--qu", "1,2,2"]) == 0  # an abbreviation only argparse reads
+        assert build_parser.cache_info().currsize == 1
+
+    @settings(max_examples=600, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=argvs)
+    def test_plain_read_is_what_argparse_reads(self, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)  # every path in the alphabet is relative
+        document = render_document(chain_coloring(3))
+
+        def outcome():
+            for path in tmp_path.iterdir():
+                path.unlink()
+            (tmp_path / "g.doc").write_text(document)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            return code, out.getvalue(), err.getvalue(), {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        parsed = cli._read_plain(argv)
+        if parsed is not None:
+            assert vars(parsed) == vars(build_parser().parse_args(argv))
+        plain = outcome()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read_plain", lambda argv: None)
+            assert outcome() == plain
 
     def test_quiet_still_writes_files(self, capsys, tmp_path):
         target = tmp_path / "q.doc"
