@@ -11,17 +11,18 @@ are the intersection of those pairs, at most two of them, and the node is
 cut when it is empty.  Only unconstrained edges may take a fresh color.
 
 ``crosscheck`` needs only the sorted degree sequences, so the sweep keeps
-only colorings whose vertices come in nondecreasing key order, the key
-being a vertex's color degree and then its sorted color counts.  It hands
-each such leaf, its edge colors and its vertex degrees, to a function.  It
-carries, per vertex, a count of each incident color and the color degree:
-assigning c to (u, v) raises the counts of c at u and v and a degree whose
-count goes from 0 to 1, and backtracking undoes both, so keys compare and
-a leaf holds its degrees without a pass over its edges.  Relabeling
-vertices and colors leaves every key as it is, and sorting the vertices by
-key puts any coloring in that order, so no sequence is lost; the leaf's
-degrees are already sorted.  A row stops as soon as its vertex can no
-longer reach the degree of the one before it.
+one coloring or more of each class under relabeling of vertices and
+colors: it cuts a branch as soon as swapping two adjacent vertices is
+known to give a lexicographically smaller normalized color string (a
+lex-leader cut, after Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
+predicates for search problems", KR 1996).  The least string of each
+class passes every such test, so no sequence is lost; ``_sweep`` says
+how each swap is decided.  It hands each leaf, its edge colors and its
+vertex degrees, to a function.  It carries, per vertex, a count of each
+incident color and the color degree: assigning c to (u, v) raises the
+counts of c at u and v and a degree whose count goes from 0 to 1, and
+backtracking undoes both, so a leaf holds its degrees without a pass
+over its edges; ``crosscheck`` sorts them.
 
 The partition search wants the first Gallai partition in the order of a
 generator of all set partitions: by part count, then by restricted-growth
@@ -46,10 +47,11 @@ from .coloring import EdgeColoring, color_degrees, find_rainbow_triangle  # noqa
 from .errors import InternalConsistencyError, NotGallaiError, SizeGuardError, require_count
 from .feasibility import check_sequence
 
-# crosscheck's sweep visits 2,645 colorings at n = 6 (about 70 ms) and
-# 37,373 at n = 7 (1.4-2.3 s); n = 8 visits 3,552,762 and takes about
-# 105 s (2-vCPU VM, Python 3.11).
-ENUMERATION_SIZE_LIMIT = 7
+# crosscheck's sweep visits 1,929 colorings at n = 6 (9-16 ms), 29,307 at
+# n = 7 (0.18-0.27 s) and 537,977 at n = 8 (3.3-4.1 s) (2-vCPU VM,
+# Python 3.11).  n = 9 waits for a sweep up to vertex isomorphism
+# (ROADMAP.md item 5).
+ENUMERATION_SIZE_LIMIT = 8
 # The partition walk is still exponential in n at worst, and ROADMAP.md
 # item 3 keeps its choice as the CLI's answer for n <= 10.  To its first
 # hit it takes at most 0.5 ms on realize's outputs at n = 10 and at most
@@ -90,35 +92,55 @@ class GallaiPartition:
 
 
 def _sweep(n: int, leaf: Callable[[list[int], list[int]], None]) -> None:
-    """The walk restricted to colorings whose vertices come in nondecreasing
-    key order, the key of a vertex being its color degree and then its
-    sorted color counts.  Calls ``leaf(colors, degrees)`` once per such
-    coloring up to color relabeling; both lists are the sweep's own, so a
-    leaf copies what it keeps.
+    """The walk restricted to colorings that no adjacent vertex swap makes
+    smaller.  Calls ``leaf(colors, degrees)`` once per such coloring up to
+    color relabeling; both lists are the sweep's own, so a leaf copies what
+    it keeps, and the degrees come in vertex order, unsorted.
 
-    The key survives any relabeling of vertices or colors, and sorting the
-    vertices by key relabels every Gallai coloring into that order, so the
-    leaves realize the sequences of all Gallai colorings, each already
-    sorted; a weaker key (the degree alone) finds them at more leaves.  No
-    size guard: the caller decides what it can afford.
+    The rule.  Let x be the restricted-growth string of a coloring and s
+    the swap of vertices t - 1 and t, for some t in 1..n-1.  Let p be the
+    first pair, in lexicographic order, whose color differs from that of
+    s(p), and f_p the number of colors in x before p.  The prefix of x
+    before p is also that of the swapped coloring and uses colors 0..f_p-1,
+    so the swapped and renormalized string holds min(x(s(p)), f_p) at p,
+    and the coloring is cut when that is less than x(p).  Since
+    x(p) <= f_p, that happens exactly when x(s(p)) < x(p).  In the tie,
+    x(s(p)) >= f_p = x(p), both labels are fresh and equal, and nothing is
+    cut for that swap.  The pairs s moves come in this order: (w, t - 1)
+    against (w, t) for w < t - 1, then (t - 1, z) against (t, z) for
+    z > t.  Each comparison is decided when its later edge is assigned,
+    and only while every earlier one of its swap matched, which the
+    bitmask ``tied`` tracks, so a cut drops the whole subtree: each
+    completion has the same first difference.
+
+    Why no sequence is lost.  Take any class of colorings under vertex and
+    color relabeling.  Its lexicographically least normalized string is a
+    Gallai coloring, and a swap of it stays in the class, so no swap makes
+    it smaller: it is never cut and stays a leaf.  Every leaf is still a
+    Gallai coloring, so no foreign sequence can appear.  No size guard:
+    the caller decides what it can afford.
     """
     pairs = list(itertools.combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
     # closing[e]: the edge indices of the triangles {w, u, v}, w < u, that
     # the pair e = (u, v) completes
     closing = [[(index[(w, u)], index[(w, v)]) for w in range(u)] for u, v in pairs]
+    # swaps[e]: (bit t of the swap of t - 1 and t, edge p) for each
+    # comparison of x(p) against x(e) that e = (u, v) decides: the swaps
+    # of u - 1 and u, and of v - 1 and v
+    swaps: list[list[tuple[int, int]]] = []
+    for u, v in pairs:
+        swaps.append([])
+        if u:
+            swaps[-1].append((1 << u, index[(u - 1, v)]))
+        if u < v - 1:
+            swaps[-1].append((1 << v, index[(u, v - 1)]))
     last = len(pairs) - 1
     colors = [0] * len(pairs)
     counts = [[0] * len(pairs) for _ in range(n)]  # counts[v][c]
     degrees = [0] * n
 
-    def below(v: int, k: int) -> bool:
-        # key(v) < key(v-1), where colors k and up are still unused
-        if degrees[v] != degrees[v - 1]:
-            return degrees[v] < degrees[v - 1]
-        return sorted(counts[v][:k]) < sorted(counts[v - 1][:k])
-
-    def extend(e: int, used: int) -> None:
+    def extend(e: int, used: int, tied: int) -> None:
         if e > last:
             leaf(colors, degrees)
             return
@@ -129,12 +151,15 @@ def _sweep(n: int, leaf: Callable[[list[int], list[int]], None]) -> None:
                 allowed &= (1 << a) | (1 << b)
                 if not allowed:
                     return
+        # a color below x(p) of a still tied comparison is cut
+        compared = [(bit, colors[p]) for bit, p in swaps[e] if tied & bit]
+        floor = max([before for _, before in compared], default=0)
         if allowed == -1:
-            options = range(used + 1)
+            options = range(floor, used + 1)
         else:
             low = (allowed & -allowed).bit_length() - 1
             high = allowed.bit_length() - 1
-            options = (low,) if low == high else (low, high)
+            options = [c for c in ((low,) if low == high else (low, high)) if c >= floor]
         u, v = pairs[e]
         count_u, count_v = counts[u], counts[v]
         for c in options:
@@ -145,18 +170,11 @@ def _sweep(n: int, leaf: Callable[[list[int], list[int]], None]) -> None:
             count_v[c] += 1
             if count_v[c] == 1:
                 degrees[v] += 1
-            # Vertex u - 1 is complete.  Each edge still open in row u can
-            # raise degrees[u] by one at most; the row's last edge completes
-            # u, and the walk's last edge also completes v = n - 1.
-            if not (
-                u
-                and (
-                    degrees[u] + n - 1 - v < degrees[u - 1]
-                    or v == n - 1 and below(u, used + 1)
-                )
-                or e == last and below(v, used + 1)
-            ):
-                extend(e + 1, used + (c == used))
+            still = tied
+            for bit, before in compared:
+                if c != before:
+                    still &= ~bit
+            extend(e + 1, used + (c == used), still)
             count_u[c] -= 1
             if not count_u[c]:
                 degrees[u] -= 1
@@ -164,7 +182,7 @@ def _sweep(n: int, leaf: Callable[[list[int], list[int]], None]) -> None:
             if not count_v[c]:
                 degrees[v] -= 1
 
-    extend(0, 0)
+    extend(0, 0, -1)
 
 
 def candidate_sequences(n: int) -> Iterator[tuple[int, ...]]:
@@ -185,8 +203,8 @@ def crosscheck(n: int) -> CrosscheckResult:
     require_count(n, 1, "n")
     if n > ENUMERATION_SIZE_LIMIT:
         raise SizeGuardError(f"n={n} exceeds the enumeration limit {ENUMERATION_SIZE_LIMIT}")
-    sequences: set[tuple[int, ...]] = set()  # key order sorts each leaf's degrees
-    _sweep(n, lambda colors, degrees: sequences.add(tuple(degrees)))
+    sequences: set[tuple[int, ...]] = set()
+    _sweep(n, lambda colors, degrees: sequences.add(tuple(sorted(degrees))))
     realizable = frozenset(sequences)
     feasible = frozenset(
         seq for seq in candidate_sequences(n) if check_sequence(seq).feasible

@@ -1,19 +1,20 @@
 """Reference implementations and shared strategies for the test modules.
 
 Each ``naive_*`` function, ``rational_slacks``, ``unfiltered_reference``
-and ``key_ordered`` recomputes what a package function computes, by a
+and ``swap_minimal`` recomputes what a package function computes, by a
 slower or more literal route, so that tests can compare the two.
-``enumerate_gallai`` is the full walk whose key-ordered leaves
+``enumerate_gallai`` is the full walk whose swap-minimal leaves
 ``crosscheck``'s sweep visits; it builds its own tables and shares no
 code with the sweep, and ``unfiltered_reference`` referees it in turn.
 ``sweep_stats`` counts the leaves of the sweep, which the package reads
-only for their degrees.  The Hypothesis strategies, sequence generators
-and ``relabelled`` here are drawn by more than one test module.  This module
-holds no tests.
+only for their degrees, and ``canonical_form`` names a coloring's class
+under relabeling of vertices and colors, by brute force.  The Hypothesis
+strategies, sequence generators and ``relabelled`` here are drawn by more
+than one test module.  This module holds no tests.
 """
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -363,7 +364,7 @@ def naive_recover_chain_order(coloring):
 def enumerate_gallai(n):
     """Every Gallai coloring of K_n once up to color relabeling, in
     restricted-growth order and normalized (first-appearance) color form:
-    the full walk, of which ``crosscheck``'s sweep keeps the key-ordered
+    the full walk, of which ``crosscheck``'s sweep keeps the swap-minimal
     leaves.  Each edge, in lexicographic pair order, checks only the
     triangles {w, u, v}, w < u, that it completes: one whose earlier edges
     carry a != b admits only a and b, and only an unconstrained edge may
@@ -422,16 +423,17 @@ def naive_enumeration_stats(n):
 
 
 def sweep_stats(n, visit=None):
-    """(count, sequences): the leaves of ``crosscheck``'s key-ordered sweep
-    and the degree sequences they hold.  ``visit``, if given, also gets
-    each leaf as an ``EdgeColoring`` and its degrees."""
+    """(count, sequences): the leaves of ``crosscheck``'s swap-minimal
+    sweep and the sorted degree sequences they hold.  ``visit``, if given,
+    also gets each leaf as an ``EdgeColoring`` and its degrees in vertex
+    order."""
     count = 0
     sequences = set()
 
     def leaf(colors, degrees):
         nonlocal count
         count += 1
-        sequences.add(tuple(degrees))
+        sequences.add(tuple(sorted(degrees)))
         if visit is not None:
             visit(EdgeColoring(n, tuple(colors)), tuple(degrees))
 
@@ -439,14 +441,34 @@ def sweep_stats(n, visit=None):
     return count, frozenset(sequences)
 
 
-def key_ordered(coloring):
-    """Whether the vertices come in nondecreasing order of (color degree,
-    sorted color counts)."""
-    keys = []
-    for v, row in enumerate(coloring.rows()):
-        tally = Counter(c for w, c in enumerate(row) if w != v)
-        keys.append((len(tally), sorted(tally.values())))
-    return keys == sorted(keys)
+def swap_minimal(coloring):
+    """Whether no swap of two adjacent vertices makes the normalized colors
+    smaller, judged at the swap's first differing pair p: there the swapped
+    and renormalized string holds the color of the swapped pair if it
+    appears before p, and the next fresh color otherwise."""
+    colors = coloring.colors
+    pairs = list(itertools.combinations(range(coloring.n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    for t in range(1, coloring.n):
+        swap = {t - 1: t, t: t - 1}
+        for p, (a, b) in enumerate(pairs):
+            c_swapped = colors[index[tuple(sorted((swap.get(a, a), swap.get(b, b))))]]
+            if c_swapped != colors[p]:
+                if min(c_swapped, max(colors[:p], default=-1) + 1) < colors[p]:
+                    return False
+                break
+    return True
+
+
+def canonical_form(coloring):
+    """The least normalized color tuple over all relabelings of the
+    vertices: equal exactly for colorings that differ by a relabeling of
+    vertices and colors."""
+    n = coloring.n
+    return min(
+        normalize_colors(relabelled(coloring, perm)).colors
+        for perm in itertools.permutations(range(n))
+    )
 
 
 def naive_partitions(n):

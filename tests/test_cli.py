@@ -469,8 +469,8 @@ class TestCrosscheck:
         assert code == 0
         assert "sets match" in out
 
-    def test_eight_always_guarded(self, capsys):
-        code, _, _ = run(capsys, "crosscheck", "8", "--allow-large")
+    def test_nine_always_guarded(self, capsys):
+        code, _, _ = run(capsys, "crosscheck", "9", "--allow-large")
         assert code == 2
 
     def test_zero_rejected(self, capsys):

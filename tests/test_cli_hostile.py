@@ -186,11 +186,11 @@ def test_generate(kind, size, flags):
         assert parse_document(out).n == (value if kind == "chain" else 1 << value)
 
 
-@given(st.one_of(st.integers(-3, 5).map(str), st.integers(8, 10**30).map(str), malformed), quiet)
+@given(st.one_of(st.integers(-3, 5).map(str), st.integers(9, 10**30).map(str), malformed), quiet)
 def test_crosscheck(n, flags):
     code, _, _ = run(["crosscheck", *flags, n])
     value = plain_int(n)
-    assert code == (0 if value is not None and 1 <= value <= 7 else 2)
+    assert code == (0 if value is not None and 1 <= value <= 8 else 2)
 
 
 MUTATIONS = ("drop", "repeat", "swap", "huge-n", "huge-color", "long-color", "nul")

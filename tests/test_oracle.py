@@ -10,10 +10,11 @@ the full walk gives 44,300 colorings with 25 sorted degree sequences, as
 the whole stream is pinned by a sha256 taken from the walk that made that
 recount.  The package's one walk, ``crosscheck``'s sweep ``_sweep``, must
 find the recount's sequences, and its leaves must be the colorings of the
-full walk with nondecreasing vertex keys, which ``key_ordered`` recomputes
-from the color matrix; ``sweep_stats`` counts them.  At n = 7, the largest
-n ``crosscheck`` accepts, the same sweep hands every leaf to the structure
-checks.  The referees live in ``oracles.py``.
+full walk that no adjacent vertex swap makes smaller, which
+``swap_minimal`` recomputes from the stored colors; ``sweep_stats``
+counts them, and at n <= 5 every class of colorings under relabeling of
+vertices and colors has a leaf.  At n = 7 the same sweep hands every
+leaf to the structure checks.  The referees live in ``oracles.py``.
 """
 
 import hashlib
@@ -44,15 +45,16 @@ from gallai.construct import chain_coloring, monochromatic_coloring, realize
 from gallai.oracle import _first_labels, candidate_sequences
 from gallai.structure import compression_degree_bounds
 from oracles import (
+    canonical_form,
     enumerate_gallai,
     feasible_sequences,
-    key_ordered,
     naive_enumeration_stats,
     naive_first_labels,
     naive_gallai_partition,
     naive_partitions,
     outcome,
     relabelled,
+    swap_minimal,
     sweep_stats,
     unfiltered_reference,
 )
@@ -64,20 +66,20 @@ SIX_VERTEX_SEQUENCES = 25
 # stream order, one byte per color.
 SIX_VERTEX_STREAM_SHA256 = "6ec8b63316d6da89e8172ac96e40492a46af86b4096063e56a77413be579daec"
 
-# Key-ordered colorings: at n = 6, enumerate_gallai(6) filtered by
-# key_ordered; at n = 7, the sweep's own count.
-ORDERED_SIX_VERTEX_COUNT = 2645
-ORDERED_SEVEN_VERTEX_COUNT = 37373
-# Key-ordered colorings at n = 7 with a color of disconnected span, as
-# find_disconnected_color first counted them.
-SEVEN_VERTEX_SPLITS = 11702
+# Swap-minimal colorings: at n = 6, enumerate_gallai(6) filtered by
+# swap_minimal; at n = 7, the sweep's own count.
+ORDERED_SIX_VERTEX_COUNT = 1929
+ORDERED_SEVEN_VERTEX_COUNT = 29307
+# Swap-minimal colorings at n = 7 with a color of disconnected span, as
+# find_disconnected_color counts them.
+SEVEN_VERTEX_SPLITS = 26161
 # Their compressions, one per component, each with one vertex bound per
 # vertex of the component, and the leaves with a vertex of degree 6, as
 # compress_component, compression_degree_bounds and recover_chain_order
-# first counted them.
-SEVEN_VERTEX_COMPRESSIONS = 36151
-SEVEN_VERTEX_BOUNDS = 81914
-SEVEN_VERTEX_APEXES = 1
+# count them.
+SEVEN_VERTEX_COMPRESSIONS = 103094
+SEVEN_VERTEX_BOUNDS = 183127
+SEVEN_VERTEX_APEXES = 235
 
 # sha256 over the reprs of brute_force_gallai_partition of every
 # enumerated coloring for n = 2..5, taken from the implementation that read
@@ -242,15 +244,23 @@ class TestOrderedSweep:
     def test_sequences_match_full_walk(self, n):
         assert sweep_stats(n)[1] == naive_enumeration_stats(n)[1]
 
-    def test_counts_the_key_ordered_colorings(self, enumerated):
-        # the leaves are the full walk's key-ordered colorings, in its
+    def test_leaves_are_the_swap_minimal_colorings(self):
+        # the leaves are the full walk's swap-minimal colorings, in its
         # order, each handed out with its own degrees
+        for n in range(1, 7):
+            leaves = []
+            sweep_stats(n, lambda coloring, degrees: leaves.append((coloring, degrees)))
+            assert [c for c, _ in leaves] == [c for c in enumerate_gallai(n) if swap_minimal(c)]
+            assert all(d == tuple(color_degrees(c)) for c, d in leaves)
+
+    def test_every_class_has_a_leaf(self, enumerated):
+        # classes up to relabeling of vertices and colors: 36 at n = 5
         for n in range(1, 6):
             leaves = []
-            count, _ = sweep_stats(n, lambda coloring, degrees: leaves.append((coloring, degrees)))
-            assert count == sum(map(key_ordered, enumerated[n]))
-            assert [c for c, _ in leaves] == [c for c in enumerated[n] if key_ordered(c)]
-            assert all(d == tuple(color_degrees(c)) for c, d in leaves)
+            sweep_stats(n, lambda coloring, degrees: leaves.append(coloring))
+            classes = set(map(canonical_form, enumerated[n]))
+            assert set(map(canonical_form, leaves)) == classes
+        assert len(classes) == 36
 
     def test_six_vertices_frozen(self):
         assert sweep_stats(6)[0] == ORDERED_SIX_VERTEX_COUNT
@@ -286,7 +296,7 @@ class TestOrderedSweep:
         with pytest.raises(ValueError, match="must be >= 1"):
             crosscheck(0)
         with pytest.raises(SizeGuardError):
-            crosscheck(8)
+            crosscheck(9)
 
     def test_crosscheck_sweeps_seven(self, monkeypatch):
         swept = []
